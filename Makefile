@@ -62,9 +62,9 @@ bench-stall:
 	$(GO) test -run=NONE -bench='BenchmarkStallSweep' -benchtime=1x ./internal/simjob
 
 # Race the 64-point sweep grid under re-simulation ("sim:ear", one
-# trace pass per point) against the miss-ratio-curve sources ("mrc:ear"
-# and "mrc~:ear", one pass per line size): the internal/mrc headline
-# numbers.
+# replay of the shared trace per point) against the miss-ratio-curve
+# sources ("mrc:ear" and "mrc~:ear", one pass per line size): the
+# internal/mrc headline numbers.
 bench-mrc:
 	$(GO) test -run=NONE -bench='BenchmarkSweepSim$$|BenchmarkSweepMRC' -benchmem .
 

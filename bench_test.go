@@ -217,13 +217,15 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweepEngine(b, 0) }
 
 // benchSweep64 sweeps the 64-point grid (8 cache sizes × 4 line sizes
 // × 2 bus widths) under the given hit source. The Sim/MRC pair measures
-// the tentpole claim of internal/mrc: re-simulation pays one trace pass
-// per design point, the miss-ratio-curve sources pay one pass per line
-// size (4 here) and answer the remaining 60 points from the curves.
-// The analytic source ("an:ear") pays no trace passes at all — every
-// point is priced from internal/model's closed forms.
-// Each iteration uses a fresh curve cache (sweep.Run owns one per
-// call), so the profiling cost is inside the measurement.
+// the tentpole claim of internal/mrc: re-simulation replays the trace
+// once per design point, the miss-ratio-curve sources pay one pass per
+// line size (4 here) and answer the remaining 60 points from the
+// curves. Both generate the trace once per sweep. The analytic source
+// ("an:ear") pays no trace passes at all — every point is priced from
+// internal/model's closed forms.
+// Each iteration uses fresh trace and curve caches (sweep.Run owns
+// them per call), so generation and profiling are inside the
+// measurement.
 func benchSweep64(b *testing.B, source string) {
 	cfg := sweep.Config{
 		CacheKB:   []int{1, 2, 4, 8, 16, 32, 64, 128},

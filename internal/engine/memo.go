@@ -166,15 +166,22 @@ func (m *Memo[V]) Put(key string, val V) {
 }
 
 // add inserts or refreshes key under m.mu, then evicts from the LRU
-// end until both bounds hold. An entry alone too large for the byte
-// budget is evicted immediately — returned to its caller but never
-// cached.
+// end until both bounds hold. A value alone too large for the byte
+// budget is rejected before anything is evicted — returned to its
+// caller but never cached, and it drops only the stale entry it would
+// have replaced, so one oversized value cannot flush the cache.
 //
 //lockguard:held mu
 func (m *Memo[V]) add(key string, val V) {
 	var n int64
 	if m.size != nil {
 		n = m.size(val)
+	}
+	if m.maxBytes > 0 && n > m.maxBytes {
+		if el, ok := m.entries[key]; ok {
+			m.remove(el)
+		}
+		return
 	}
 	if el, ok := m.entries[key]; ok {
 		e := el.Value.(*memoEntry[V])
@@ -188,12 +195,18 @@ func (m *Memo[V]) add(key string, val V) {
 	for m.order.Len() > 0 &&
 		((m.maxEntries > 0 && m.order.Len() > m.maxEntries) ||
 			(m.maxBytes > 0 && m.bytes > m.maxBytes)) {
-		oldest := m.order.Back()
-		e := oldest.Value.(*memoEntry[V])
-		m.order.Remove(oldest)
-		delete(m.entries, e.key)
-		m.bytes -= e.bytes
+		m.remove(m.order.Back())
 	}
+}
+
+// remove drops one entry under m.mu.
+//
+//lockguard:held mu
+func (m *Memo[V]) remove(el *list.Element) {
+	e := el.Value.(*memoEntry[V])
+	m.order.Remove(el)
+	delete(m.entries, e.key)
+	m.bytes -= e.bytes
 }
 
 // Len returns the current entry count.

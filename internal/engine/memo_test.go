@@ -61,13 +61,28 @@ func TestMemoByteBound(t *testing.T) {
 	if got, n := m.Bytes(), m.Len(); got != 80 || n != 2 {
 		t.Fatalf("bytes = %d len = %d, want 80 and 2", got, n)
 	}
-	// A value alone too large for the budget is returned but not cached.
+	// A value alone too large for the budget is returned but not
+	// cached, and it is rejected before anything else is evicted.
 	m.Put("huge", make([]byte, 500))
 	if _, ok := m.Get("huge"); ok {
 		t.Fatal("an over-budget value was cached")
 	}
-	if got := m.Bytes(); got > 100 {
-		t.Fatalf("bytes = %d exceeds the bound", got)
+	for _, k := range []string{"b", "c"} {
+		if _, ok := m.Get(k); !ok {
+			t.Fatalf("%s was evicted by an over-budget put", k)
+		}
+	}
+	if got, n := m.Bytes(), m.Len(); got != 80 || n != 2 {
+		t.Fatalf("after the huge put: bytes = %d len = %d, want 80 and 2", got, n)
+	}
+	// Replacing a cached key with an over-budget value drops the stale
+	// entry rather than serving it.
+	m.Put("b", make([]byte, 500))
+	if _, ok := m.Get("b"); ok {
+		t.Fatal("a stale value survived its over-budget replacement")
+	}
+	if got, n := m.Bytes(), m.Len(); got != 40 || n != 1 {
+		t.Fatalf("after replacing b: bytes = %d len = %d, want 40 and 1", got, n)
 	}
 }
 

@@ -95,11 +95,12 @@ func CrossValidate(ctx context.Context, workload string, seed uint64, refs, line
 	if err != nil {
 		return Report{}, err
 	}
-	src, err := trace.NewWorkload(workload, seed)
+	// One trace feeds both the exact profile and the replay leg.
+	trc, err := trace.Named{Program: workload, Seed: seed, Refs: refs}.Materialize()
 	if err != nil {
 		return Report{}, err
 	}
-	exact, err := mrc.ProfileSource(src, refs, lineSize)
+	exact, err := mrc.ProfileRefs(trc, lineSize)
 	if err != nil {
 		return Report{}, err
 	}
@@ -127,11 +128,7 @@ func CrossValidate(ctx context.Context, workload string, seed uint64, refs, line
 		if err != nil {
 			return Report{}, err
 		}
-		replaySrc, err := trace.NewWorkload(workload, seed)
-		if err != nil {
-			return Report{}, err
-		}
-		hr := cache.MeasureSource(sim, replaySrc, refs).HitRatio
+		hr := cache.Measure(sim, trc).HitRatio
 		diff := an.HitRatioAssoc(size, assoc) - hr
 		if diff < 0 {
 			diff = -diff

@@ -50,12 +50,16 @@ func (s Spec) key() string {
 }
 
 // Profile performs the single trace pass the spec describes and
-// returns its curve. Each call streams the workload afresh — this is
-// the expensive step CurveCache exists to run once — and opens one
-// "mrc_pass" span, so a -trace export counts exactly the passes paid
-// for.
-func (s Spec) Profile(ctx context.Context) (*Curve, error) {
+// returns its curve. The trace comes from traces (nil: materialized
+// afresh unless the context holds it, see trace.WithHold) and is read
+// before the "mrc_pass" span opens, so a -trace export counts exactly
+// the passes paid for and times the profiling alone.
+func (s Spec) Profile(ctx context.Context, traces *trace.Cache) (*Curve, error) {
 	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	refs, err := traces.Get(ctx, trace.Named{Program: s.Workload, Seed: s.Seed, Refs: s.Refs})
+	if err != nil {
 		return nil, err
 	}
 	_, span := obs.StartSpan(ctx, "mrc_pass")
@@ -64,29 +68,35 @@ func (s Spec) Profile(ctx context.Context) (*Curve, error) {
 	span.SetArg("refs", s.Refs)
 	span.SetArg("sampled", s.Sampled)
 	defer span.End()
-	src, err := trace.NewWorkload(s.Workload, s.Seed)
-	if err != nil {
-		return nil, err
-	}
 	if s.Sampled {
-		return ProfileSampledSource(src, s.Refs, s.LineSize, s.Sampler)
+		return ProfileSampledRefs(refs, s.LineSize, s.Sampler)
 	}
-	return ProfileSource(src, s.Refs, s.LineSize)
+	return ProfileRefs(refs, s.LineSize)
 }
 
 // CurveCache memoizes curves by Spec on an engine.Memo, so a sweep —
 // or concurrent sweeps sharing one cache — pays one trace pass per
 // distinct (workload, line size) spec, with singleflight collapsing
-// concurrent requests for the same spec.
+// concurrent requests for the same spec. The passes read their traces
+// from one trace.Cache, so the curves of one workload at K line sizes
+// materialize its trace once.
 type CurveCache struct {
-	memo *engine.Memo[*Curve]
+	memo   *engine.Memo[*Curve]
+	traces *trace.Cache
 }
 
 // NewCurveCache returns a cache bounded to maxEntries curves and
-// maxBytes of resident curve data; bounds <= 0 are unlimited, matching
-// engine.NewMemo.
+// maxBytes of resident curve data (bounds <= 0 are unlimited, matching
+// engine.NewMemo), profiling traces from a private trace.NewCache.
 func NewCurveCache(maxEntries int, maxBytes int64) *CurveCache {
-	return &CurveCache{memo: engine.NewMemo(maxEntries, maxBytes, (*Curve).MemoryBytes)}
+	return NewCurveCacheOn(trace.NewCache(), maxEntries, maxBytes)
+}
+
+// NewCurveCacheOn is NewCurveCache reading its traces from traces, so
+// the curve tier shares one trace cache with the other simulation
+// tiers. A nil traces shares traces only within a hold.
+func NewCurveCacheOn(traces *trace.Cache, maxEntries int, maxBytes int64) *CurveCache {
+	return &CurveCache{memo: engine.NewMemo(maxEntries, maxBytes, (*Curve).MemoryBytes), traces: traces}
 }
 
 // Get returns the curve for spec, profiling it on first use. The
@@ -96,7 +106,9 @@ func (cc *CurveCache) Get(ctx context.Context, spec Spec) (*Curve, bool, error) 
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
-	return cc.memo.Do(ctx, spec.key(), spec.Profile)
+	return cc.memo.Do(ctx, spec.key(), func(ctx context.Context) (*Curve, error) {
+		return spec.Profile(ctx, cc.traces)
+	})
 }
 
 // Len returns the number of cached curves.

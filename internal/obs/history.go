@@ -77,6 +77,7 @@ type History struct {
 	subs   map[int]chan TickSnapshot
 	subID  int
 	ticks  int64
+	last   time.Time // the newest tick's time
 }
 
 // NewHistory returns a store sampling every interval (default 10s)
@@ -150,6 +151,16 @@ func (h *History) Ticks() int64 {
 	return h.ticks
 }
 
+// Last returns the time of the newest tick, and false before the
+// first one. Readers that score windows of the rings (the SLO burn
+// rates) end their windows here rather than at the wall clock, so the
+// same history yields the same answer on any date.
+func (h *History) Last() (time.Time, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.last, h.ticks > 0
+}
+
 // Tick samples every registered series at now and fans the snapshot
 // out to subscribers. Samplers run under the store lock; they are all
 // atomic reads by construction (counters, histogram buckets, expvar
@@ -168,6 +179,7 @@ func (h *History) Tick(now time.Time) TickSnapshot {
 		snap.Values[name] = v
 	}
 	h.ticks++
+	h.last = now
 	// Fan out under the lock: sends are non-blocking, and cancel
 	// deletes a subscriber from the map (also under the lock) before
 	// closing its channel, so a channel visible here cannot be closed

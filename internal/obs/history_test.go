@@ -247,3 +247,16 @@ func BenchmarkSnapshotTick(b *testing.B) {
 		h.Tick(now)
 	}
 }
+
+func TestHistoryLast(t *testing.T) {
+	h := NewHistory(10*time.Second, time.Minute)
+	if _, ok := h.Last(); ok {
+		t.Fatal("Last reported a tick before the first one")
+	}
+	t0 := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	h.Tick(t0)
+	h.Tick(t0.Add(10 * time.Second))
+	if last, ok := h.Last(); !ok || !last.Equal(t0.Add(10*time.Second)) {
+		t.Fatalf("Last = %v, %v; want %v, true", last, ok, t0.Add(10*time.Second))
+	}
+}

@@ -233,8 +233,18 @@ func (s *Server) sloDoc(now time.Time) []byte {
 // follows the configured SLO list, so fixed state renders fixed bytes
 // (pinned by a golden test).
 func (s *Server) writeSLOProm(buf *bytes.Buffer) {
-	sts := s.sloStatuses(time.Now())
-	promSLOGauges(buf, sts)
+	promSLOGauges(buf, s.sloStatuses(s.sloNow()))
+}
+
+// sloNow is the instant the /metrics SLO gauges are scored at: the
+// history's newest tick, so the gauges describe the data the rings
+// hold whatever the wall clock says, or the wall clock before the
+// first tick (when every window is empty anyway).
+func (s *Server) sloNow() time.Time {
+	if t, ok := s.history.Last(); ok {
+		return t
+	}
+	return time.Now()
 }
 
 // promSLOGauges writes the SLO gauge blocks for the given statuses —

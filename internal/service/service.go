@@ -45,8 +45,11 @@
 // whose singleflight collapses concurrent identical requests into a
 // single evaluation. Request contexts flow into the worker pools: a
 // disconnected client cancels its in-flight sweep or replay. The
-// server holds one simjob.Runner for its lifetime, so materialized
-// workload traces are shared across /v1/stall requests.
+// server holds one simjob.Runner for its lifetime, and the runner's
+// trace cache (trace.Cache, 64 MiB) is the one place every simulation
+// tier — "sim:" and "mrc:"/"mrc~:" sweeps, /v1/optimize and /v1/stall —
+// materializes a workload trace, so traces are shared across requests
+// and endpoints.
 package service
 
 import (
@@ -175,6 +178,7 @@ func New(opts Options) *Server {
 	if opts.HistoryWindow <= 0 {
 		opts.HistoryWindow = time.Hour
 	}
+	runner := simjob.NewRunner()
 	s := &Server{
 		opts: opts,
 		mux:  http.NewServeMux(),
@@ -183,10 +187,11 @@ func New(opts Options) *Server {
 		}),
 		metrics: newMetrics(),
 		stats:   obs.NewEngineStats(),
-		runner:  simjob.NewRunner(),
+		runner:  runner,
 		// Miss-ratio curves survive across /v1/sweep requests: 64 curves
-		// (≈ a few sweeps' worth of line sizes) within 64 MiB.
-		curves: mrc.NewCurveCache(64, 64<<20),
+		// (≈ a few sweeps' worth of line sizes) within 64 MiB, profiled
+		// from the runner's trace cache.
+		curves: mrc.NewCurveCacheOn(runner.Traces(), 64, 64<<20),
 		// Analytic model curves are tiny (knot tables); the cache mostly
 		// saves the µs-scale rebuild per (workload, line size).
 		models: model.NewCache(64, 16<<20),
@@ -218,7 +223,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/debug/dash", s.handleDash)
 	s.registerSeries()
 	if len(opts.SLOs) > 0 {
-		s.metrics.sloJSON = func() []byte { return s.sloDoc(time.Now()) }
+		s.metrics.sloJSON = func() []byte { return s.sloDoc(s.sloNow()) }
 		s.metrics.sloProm = s.writeSLOProm
 	}
 	if opts.Pprof {
@@ -533,11 +538,10 @@ type SweepResponse struct {
 }
 
 // caches bundles the server's shared memoization state for the sweep
-// engines: miss-ratio curves, analytic models, and the simjob trace
-// seam hierarchy sweeps replay "sim:" sources through (one
-// materialized trace per workload across all requests).
+// engines: miss-ratio curves, analytic models, and the runner's trace
+// cache that flat and hierarchy "sim:" sweeps replay.
 func (s *Server) caches() sweep.Caches {
-	return sweep.Caches{Curves: s.curves, Models: s.models, Measure: s.runner.MeasureHierarchy}
+	return sweep.Caches{Curves: s.curves, Models: s.models, Traces: s.runner.Traces()}
 }
 
 // sweepEndpoint registers POST /v1/sweep on the shared pipeline.

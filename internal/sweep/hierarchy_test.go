@@ -166,7 +166,7 @@ func TestHierarchySweepMeasured(t *testing.T) {
 	if ds[0].HitRatio != s.L1HitRatio() || ds[0].Levels[0].LocalHitRatio != s.L2LocalHitRatio() {
 		t.Fatalf("measured sweep %+v disagrees with direct replay %+v", ds[0], s)
 	}
-	// The Measure seam overrides the private replay.
+	// The Measure seam overrides the default replay.
 	called := false
 	ds2, err := RunCaches(context.Background(), cfg, 0, Caches{
 		Measure: func(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
@@ -174,7 +174,7 @@ func TestHierarchySweepMeasured(t *testing.T) {
 			if workload != "ear" || seed != 1994 || refs != 30_000 || len(levels) != 2 {
 				t.Errorf("measure called with (%q, %d, %d, %d levels)", workload, seed, refs, len(levels))
 			}
-			return replayHierarchy(ctx, workload, seed, refs, levels)
+			return MeasureHierarchy(ctx, nil, workload, seed, refs, levels)
 		},
 	})
 	if err != nil {

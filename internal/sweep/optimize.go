@@ -12,6 +12,7 @@ import (
 	"tradeoff/internal/engine"
 	"tradeoff/internal/linesize"
 	"tradeoff/internal/obs"
+	"tradeoff/internal/trace"
 )
 
 // Line-size search modes for Optimize. LineModeEnumerate keeps every
@@ -149,13 +150,14 @@ func Optimize(ctx context.Context, cfg OptimizeConfig, workers int) (OptimizeRes
 }
 
 // OptimizeCaches is Optimize with caller-owned memoization state (see
-// Caches); the tradeoffd service shares its curve and model caches and
-// the simjob trace seam across requests this way.
+// Caches); the tradeoffd service shares its trace, curve and model
+// caches across requests this way.
 func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches Caches) (OptimizeResult, error) {
 	cfg.SetDefaults()
 	if err := cfg.Validate(); err != nil {
 		return OptimizeResult{}, err
 	}
+	ctx = trace.WithHold(ctx)
 	hit, source, err := hitFunc(cfg.Config, caches)
 	if err != nil {
 		return OptimizeResult{}, err

@@ -80,24 +80,31 @@ func Run(ctx context.Context, cfg Config, workers int) ([]Design, error) {
 // the "mrc:"/"mrc~:" hit sources, so curves survive across sweeps (the
 // tradeoffd service holds one for its lifetime). A nil cache is fine —
 // an mrc sweep then profiles into a private cache, still paying
-// exactly one trace pass per (workload, line size) within that sweep.
+// exactly one trace pass per (workload, line size) and materializing
+// the trace once within that sweep.
 func RunCurves(ctx context.Context, cfg Config, workers int, curves *mrc.CurveCache) ([]Design, error) {
 	return RunCaches(ctx, cfg, workers, Caches{Curves: curves})
 }
 
 // Caches holds the caller-owned memoization state a sweep may share
-// across requests: exact miss-ratio curves ("mrc:"/"mrc~:") and
-// analytic curves ("an:", and "sim:"/"mrc:" re-priced by the mode
-// knob). Any field may be nil; the sweep then uses a private cache
-// (or a private trace replay, for Measure) scoped to the one run.
+// across requests: workload traces ("sim:"), exact miss-ratio curves
+// ("mrc:"/"mrc~:") and analytic curves ("an:", and "sim:"/"mrc:"
+// re-priced by the mode knob). Any field may be nil; the sweep then
+// uses a private cache scoped to the one run. Either way a run holds
+// every trace it fetches (trace.WithHold), so it materializes each
+// workload trace at most once.
 type Caches struct {
 	Curves *mrc.CurveCache
 	Models *model.Cache
-	// Measure replays a workload through an N-level hierarchy for
-	// "sim:" sweeps with levels. simjob wires its memoized trace
-	// cache in here; sweep cannot import simjob (simjob imports
+	// Measure, when set, replays a workload through an N-level
+	// hierarchy for "sim:" sweeps with levels in place of
+	// MeasureHierarchy over Traces — simjob.Runner.MeasureHierarchy
+	// is one such value. sweep cannot import simjob (simjob imports
 	// sweep), so the seam is a function value.
 	Measure MeasureFunc
+	// Traces serves the "sim:" tiers' traces; a private curve cache
+	// profiles from it too.
+	Traces *trace.Cache
 }
 
 // MeasureFunc measures an N-level hierarchy's stats by replaying refs
@@ -105,12 +112,13 @@ type Caches struct {
 // the level configs, top first.
 type MeasureFunc func(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error)
 
-// RunCaches is RunCurves generalized to every curve-backed hit source.
+// RunCaches is RunCurves generalized to every cached hit source.
 func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]Design, error) {
 	cfg.SetDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	ctx = trace.WithHold(ctx)
 	hit, source, err := hitFunc(cfg, caches)
 	if err != nil {
 		return nil, err
@@ -296,27 +304,31 @@ func evaluateHierarchy(ctx context.Context, cfg Config, caches Caches, hit hitRa
 }
 
 // measuredLocals replays the workload through a real N-level hierarchy
-// (via the shared simjob seam when wired, else a private trace).
+// (via the Measure seam when wired, else MeasureHierarchy on Traces).
 func measuredLocals(ctx context.Context, cfg Config, caches Caches, workload string, p point) ([]float64, float64, error) {
 	cfgs := make([]cache.Config, 0, len(p.levels)+1)
 	cfgs = append(cfgs, cache.Config{Size: p.cacheKB << 10, LineSize: p.line, Assoc: cfg.Assoc})
 	for i, lp := range p.levels {
 		cfgs = append(cfgs, cache.Config{Size: lp.kb << 10, LineSize: lp.line, Assoc: cfg.Levels[i].Assoc})
 	}
-	measure := caches.Measure
-	if measure == nil {
-		measure = replayHierarchy
+	var stats cache.HierarchyStats
+	var err error
+	if caches.Measure != nil {
+		stats, err = caches.Measure(ctx, workload, cfg.Seed, cfg.SimRefs, cfgs)
+	} else {
+		stats, err = MeasureHierarchy(ctx, caches.Traces, workload, cfg.Seed, cfg.SimRefs, cfgs)
 	}
-	stats, err := measure(ctx, workload, cfg.Seed, cfg.SimRefs, cfgs)
 	if err != nil {
 		return nil, 0, err
 	}
 	return stats.LocalHitRatios(), stats.GlobalHitRatio(), nil
 }
 
-// replayHierarchy is the private-trace MeasureFunc fallback.
-func replayHierarchy(_ context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
-	src, err := trace.NewWorkload(workload, seed)
+// MeasureHierarchy replays refs references of the named workload,
+// read from traces (see trace.Cache.Get), through an N-level
+// cache.Hierarchy built from levels (top first) and returns its stats.
+func MeasureHierarchy(ctx context.Context, traces *trace.Cache, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
+	trc, err := traces.Get(ctx, trace.Named{Program: workload, Seed: seed, Refs: refs})
 	if err != nil {
 		return cache.HierarchyStats{}, err
 	}
@@ -324,12 +336,13 @@ func replayHierarchy(_ context.Context, workload string, seed uint64, refs int, 
 	if err != nil {
 		return cache.HierarchyStats{}, err
 	}
-	for i := 0; i < refs; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
+	for i, ref := range trc {
+		// The replay is single-threaded; honor cancellation on long
+		// traces without paying a channel read per reference.
+		if i&0x3fff == 0 && ctx.Err() != nil {
+			return cache.HierarchyStats{}, ctx.Err()
 		}
-		h.Access(r.Addr, r.Write)
+		h.Access(ref.Addr, ref.Write)
 	}
 	return h.Stats(), nil
 }
@@ -393,10 +406,10 @@ func mrcSource(hitSource string) (name string, sampled, ok bool) {
 // closed-form analytic curve ("an:<name>", internal/model), cache
 // simulation of a named workload ("sim:<name>"), or a single-pass
 // miss-ratio curve ("mrc:<name>" exact, "mrc~:<name>" SHARDS-sampled).
-// Simulated sources build a private trace and cache per call; curve
-// sources share one memoized curve per (workload, line size) through
-// caches. Either way the returned function is safe for concurrent use
-// by the pool.
+// Simulated sources replay the run's one held trace through a fresh
+// cache per call; curve sources share one memoized curve per
+// (workload, line size) through caches. Either way the returned
+// function is safe for concurrent use by the pool.
 func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
 	source, err := cfg.EffectiveHitSource()
 	if err != nil {
@@ -427,7 +440,7 @@ func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
 	if name, sampled, ok := mrcSource(source); ok {
 		curves := caches.Curves
 		if curves == nil {
-			curves = mrc.NewCurveCache(0, 0)
+			curves = mrc.NewCurveCacheOn(caches.Traces, 0, 0)
 		}
 		spec := mrc.Spec{Workload: name, Seed: cfg.Seed, Refs: cfg.SimRefs, Sampled: sampled}
 		if sampled {
@@ -443,9 +456,9 @@ func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
 			return c.HitRatioAssoc(size, cfg.Assoc), nil
 		}, source, nil
 	}
-	name := strings.TrimPrefix(source, "sim:")
-	return func(_ context.Context, size, line int) (float64, error) {
-		src, err := trace.NewWorkload(name, cfg.Seed)
+	named := trace.Named{Program: strings.TrimPrefix(source, "sim:"), Seed: cfg.Seed, Refs: cfg.SimRefs}
+	return func(ctx context.Context, size, line int) (float64, error) {
+		refs, err := caches.Traces.Get(ctx, named)
 		if err != nil {
 			return 0, err
 		}
@@ -453,7 +466,7 @@ func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
 		if err != nil {
 			return 0, err
 		}
-		return cache.MeasureSource(c, src, cfg.SimRefs).HitRatio, nil
+		return cache.Measure(c, refs).HitRatio, nil
 	}, source, nil
 }
 
