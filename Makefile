@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test test-short race bench bench-smoke bench-stall bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
+.PHONY: all build vet lint lint-fast test test-short race e2ebench-check bench bench-smoke bench-stall bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
 
-all: build lint test race
+all: build lint test race e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ test-short:
 # in anywhere).
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark (e2ebench/) is a separate module that
+# compiles against this one, so a main-module API change that breaks it
+# would otherwise only surface when the benchmark runs. Vet and test it
+# here (a few seconds) without touching its files.
+e2ebench-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
 
 # Run the HTTP evaluation service on :8080.
 serve:

@@ -15,7 +15,7 @@
 // structs the generators run with — blends components through their
 // working-set functions to account for Mix interleaving, and wraps
 // the result in an *mrc.Curve via mrc.NewAnalyticCurve. Downstream
-// consumers (sweep.RunCurves, /v1/sweep, /v1/stall) therefore price
+// consumers (sweep.RunCaches, /v1/sweep, /v1/stall) therefore price
 // designs from analytic curves through exactly the same
 // HitRatio/HitRatioAssoc surface as exact curves, in microseconds
 // instead of milliseconds.
@@ -66,9 +66,10 @@ func (s Spec) key() string {
 
 // Covered reports whether the analytic tier can price the named
 // workload. All seven named workloads (six SPEC92-like programs plus
-// zipf) are covered; the predicate exists so mode=auto has a
-// principled fallback rule when future workloads (e.g. replayed
-// external traces) arrive without closed forms.
+// zipf) are covered — it is trace.ValidWorkloads — so the mode knob
+// (sweep.Source.Resolve) re-prices every accepted workload and
+// mode=auto never needs its fallback; a future workload without closed
+// forms (e.g. a replayed external trace) would bring the fallback back.
 func Covered(workload string) bool {
 	return len(trace.ValidWorkloads([]string{workload})) == 0
 }

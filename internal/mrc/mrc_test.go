@@ -177,7 +177,7 @@ func TestSampledRateOneMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ProfileSampledSource(trace.MustWorkload(trace.Swm256, 7), refs, line,
+	sampled, err := ProfileSampledRefs(trace.Collect(trace.MustWorkload(trace.Swm256, 7), refs), line,
 		SamplerConfig{Rate: 1, Budget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)

@@ -200,20 +200,3 @@ func ProfileSampledRefs(refs []trace.Ref, lineSize int, cfg SamplerConfig) (*Cur
 	}
 	return p.Curve(), nil
 }
-
-// ProfileSampledSource streams up to n references from src through a
-// SHARDS profiler.
-func ProfileSampledSource(src trace.Source, n, lineSize int, cfg SamplerConfig) (*Curve, error) {
-	p, err := NewSampledProfiler(lineSize, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		p.Access(r.Addr)
-	}
-	return p.Curve(), nil
-}

@@ -8,7 +8,8 @@
 //	                   miss-count/bus-width ratio r, Eq. 9 line-fill
 //	                   time, optional Eq. 2 execution time)
 //	POST /v1/sweep     full design-space sweep → JSON or CSV; hit
-//	                   sources "model", "sim:<workload>", and the
+//	                   sources "model", the analytic curve
+//	                   "an:<workload>", "sim:<workload>", and the
 //	                   single-pass miss-ratio curves "mrc:<workload>"
 //	                   (exact) / "mrc~:<workload>" (SHARDS-sampled),
 //	                   with curves memoized across requests
@@ -140,7 +141,6 @@ type Server struct {
 	stats   *obs.EngineStats
 	runner  *simjob.Runner
 	curves  *mrc.CurveCache
-	models  *model.Cache
 
 	// Observability tier 2 (flight recorder, metrics history, SLOs).
 	epoch     time.Time     // flight-dump timestamp origin
@@ -192,9 +192,6 @@ func New(opts Options) *Server {
 		// (≈ a few sweeps' worth of line sizes) within 64 MiB, profiled
 		// from the runner's trace cache.
 		curves: mrc.NewCurveCacheOn(runner.Traces(), 64, 64<<20),
-		// Analytic model curves are tiny (knot tables); the cache mostly
-		// saves the µs-scale rebuild per (workload, line size).
-		models: model.NewCache(64, 16<<20),
 	}
 	s.metrics.cacheBytes = s.cache.Bytes
 	s.metrics.engine = s.stats
@@ -538,10 +535,20 @@ type SweepResponse struct {
 }
 
 // caches bundles the server's shared memoization state for the sweep
-// engines: miss-ratio curves, analytic models, and the runner's trace
-// cache that flat and hierarchy "sim:" sweeps replay.
+// engines: miss-ratio curves, plus the runner's analytic models and
+// traces, which /v1/stall shares.
 func (s *Server) caches() sweep.Caches {
-	return sweep.Caches{Curves: s.curves, Models: s.models, Traces: s.runner.Traces()}
+	return sweep.Caches{Curves: s.curves, Models: s.runner.Models(), Traces: s.runner.Traces()}
+}
+
+// errorBound is the committed error of the designs' hit source (see
+// sweep.Source.ErrorBound); the source is uniform across a run.
+func errorBound(ds []sweep.Design) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	src, _ := sweep.ParseSource(ds[0].HitSource) // the engine stamps only valid sources
+	return src.ErrorBound()
 }
 
 // sweepEndpoint registers POST /v1/sweep on the shared pipeline.
@@ -555,15 +562,7 @@ func (s *Server) sweepEndpoint() endpoint[sweep.Config, []sweep.Design] {
 			return sweep.RunCaches(ctx, cfg, s.opts.Workers, s.caches())
 		},
 		encodeJSON: func(ds []sweep.Design) any {
-			resp := SweepResponse{Count: len(ds), ParetoCount: sweep.ParetoCount(ds), Designs: ds}
-			if len(ds) > 0 {
-				// The effective hit source is uniform across a sweep, so
-				// the first design speaks for all of them.
-				if _, w, ok := sweep.SourceWorkload(ds[0].HitSource); ok && ds[0].HitSource == "an:"+w {
-					resp.ErrorBound = model.ErrorBound(w)
-				}
-			}
-			return resp
+			return SweepResponse{Count: len(ds), ParetoCount: sweep.ParetoCount(ds), ErrorBound: errorBound(ds), Designs: ds}
 		},
 		encodeCSV: func(w io.Writer, ds []sweep.Design) error { return sweep.WriteCSV(w, ds) },
 	}
@@ -592,11 +591,12 @@ func (s *Server) stallEndpoint() endpoint[simjob.Grid, []simjob.PointResult] {
 		encodeJSON: func(ps []simjob.PointResult) any {
 			resp := StallResponse{Count: len(ps), Points: ps}
 			for _, p := range ps {
-				if p.Source == "an:"+p.Program {
+				src, _ := sweep.ParseSource(p.Source) // "replay" parses to no bound
+				if b := src.ErrorBound(); b > 0 {
 					if resp.ErrorBounds == nil {
 						resp.ErrorBounds = make(map[string]float64)
 					}
-					resp.ErrorBounds[p.Program] = model.ErrorBound(p.Program)
+					resp.ErrorBounds[src.Workload] = b
 				}
 			}
 			return resp
@@ -632,18 +632,13 @@ func (s *Server) optimizeEndpoint() endpoint[sweep.OptimizeConfig, sweep.Optimiz
 			return sweep.OptimizeCaches(ctx, cfg, s.opts.Workers, s.caches())
 		},
 		encodeJSON: func(res sweep.OptimizeResult) any {
-			resp := OptimizeResponse{
+			return OptimizeResponse{
 				Total:       res.Total,
 				Feasible:    res.Feasible,
 				ParetoCount: sweep.ParetoCount(res.Designs),
+				ErrorBound:  errorBound(res.Designs),
 				Designs:     res.Designs,
 			}
-			if len(res.Designs) > 0 {
-				if _, w, ok := sweep.SourceWorkload(res.Designs[0].HitSource); ok && res.Designs[0].HitSource == "an:"+w {
-					resp.ErrorBound = model.ErrorBound(w)
-				}
-			}
-			return resp
 		},
 		encodeCSV: func(w io.Writer, res sweep.OptimizeResult) error { return sweep.WriteOptimizeCSV(w, res.Designs) },
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -203,10 +204,11 @@ func TestSweepEndpointJSONAndCSV(t *testing.T) {
 	_ = s
 }
 
-// TestModeModelEndToEnd drives the mode knob through both HTTP
+// TestModeModelEndToEnd drives the mode knob through the HTTP
 // endpoints: mode "model" re-prices an exact hit source from the
 // analytic tier, the designs/points carry the "an:<workload>" stamp,
-// and the responses surface the committed error bound.
+// and the /v1/sweep, /v1/stall and /v1/optimize responses surface the
+// committed error bound, which exact mode omits.
 func TestModeModelEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -261,6 +263,52 @@ func TestModeModelEndToEnd(t *testing.T) {
 		if st.ErrorBounds[w] != model.ErrorBound(w) {
 			t.Fatalf("stall error_bounds[%s] = %v, want %v", w, st.ErrorBounds[w], model.ErrorBound(w))
 		}
+	}
+
+	// /v1/optimize carries the same bound in model mode and omits it in
+	// exact mode.
+	optCfg := strings.Replace(sweepCfg, `"mode":"model"`, `"mode":"model","area_budget":1e8`, 1)
+	for _, mode := range []string{"model", "exact"} {
+		resp, body = post(t, ts.URL+"/v1/optimize", strings.Replace(optCfg, `"model"`, `"`+mode+`"`, 1))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("optimize mode=%s status %d: %s", mode, resp.StatusCode, body)
+		}
+		var or OptimizeResponse
+		if err := json.Unmarshal(body, &or); err != nil {
+			t.Fatal(err)
+		}
+		want := model.ErrorBound("nasa7")
+		if mode == "exact" {
+			want = 0
+		}
+		if len(or.Designs) == 0 || or.ErrorBound != want {
+			t.Fatalf("optimize mode=%s: %d designs, error_bound = %v, want %v", mode, len(or.Designs), or.ErrorBound, want)
+		}
+		if mode == "exact" && bytes.Contains(body, []byte("error_bound")) {
+			t.Fatal("exact optimize response carries an error_bound field")
+		}
+	}
+}
+
+// TestModelCacheSharedAcrossEndpoints: /v1/sweep's analytic tier and
+// /v1/stall's analytic stall estimator read one model cache, so a
+// mode=model sweep and a mode=model stall grid over the same
+// (workload, seed, refs, line size) build one curve between them.
+func TestModelCacheSharedAcrossEndpoints(t *testing.T) {
+	s, ts := newTestServer(t)
+	resp, body := post(t, ts.URL+"/v1/sweep", `{"cache_kb":[8,16],"line_bytes":[32],"bus_bits":[32],
+		"latency_ns":360,"transfer_ns":60,"cpu_ns":30,
+		"hit_source":"sim:nasa7","mode":"model","sim_refs":20000,"seed":7}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts.URL+"/v1/stall", `{"programs":["nasa7"],"refs":20000,"seed":7,
+		"line_bytes":[32],"beta_m":[4,10],"mode":"model"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stall status %d: %s", resp.StatusCode, body)
+	}
+	if n := s.runner.Models().Len(); n != 1 {
+		t.Fatalf("model cache holds %d curves, want 1 shared by both endpoints", n)
 	}
 }
 

@@ -41,13 +41,11 @@ type Grid struct {
 
 	Warm bool `json:"warm"` // measure from a warmed cache (see Options.Warm)
 
-	// Mode selects the evaluation tier, mirroring sweep.Config.Mode:
-	// "exact" (default) replays every point cycle by cycle; "model"
-	// answers every point from the analytic tier (internal/model,
+	// Mode selects the evaluation tier like sweep.Config.Mode: "exact"
+	// (default) replays every point cycle by cycle; "model" and "auto"
+	// answer every point from the analytic tier (internal/model,
 	// first-order stall arithmetic — see model.EstimateStall for the
-	// documented accuracy budget) and errors if a program is not
-	// covered; "auto" uses the model where covered and falls back to
-	// replay otherwise.
+	// documented accuracy budget).
 	Mode string `json:"mode"`
 }
 
@@ -158,8 +156,8 @@ type Point struct {
 
 // PointResult pairs a design point with its measured (or modeled)
 // decomposition. Source records the tier that produced it after Mode
-// resolution: "replay" for a cycle-level replay, "an:<program>" for
-// the analytic estimate.
+// resolution: "replay" for a cycle-level replay, the analytic
+// sweep.Source ("an:<program>") for the analytic estimate.
 type PointResult struct {
 	Point
 	Source string       `json:"source"`
@@ -228,10 +226,10 @@ func (g *Grid) job(p Point) (Job, error) {
 }
 
 // RunGrid enumerates the grid and evaluates every point, returning
-// results in enumeration order. Mode routes each point: replay points
-// run on the runner's pool; analytic points (mode "model", or "auto"
-// over a covered program) are priced inline by model.EstimateStall —
-// microseconds per point, so they need no pool at all.
+// results in enumeration order. A replayed program is the "sim:" tier
+// of its workload: when Mode resolves that onto the analytic tier,
+// every point is priced inline by model.EstimateStall (microseconds,
+// no pool); otherwise every point is replayed on the runner's pool.
 func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResult, error) {
 	g.SetDefaults()
 	if err := g.Validate(); err != nil {
@@ -241,23 +239,9 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResul
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("simjob: empty design grid (every line < D or > cache?)")
 	}
-	analytic := make([]bool, len(pts))
-	if g.Mode != sweep.ModeExact {
-		for i, p := range pts {
-			if model.Covered(p.Program) {
-				analytic[i] = true
-			} else if g.Mode == sweep.ModeModel {
-				return nil, fmt.Errorf("simjob: mode %q: no analytic model covers program %q; use mode %q to fall back",
-					sweep.ModeModel, p.Program, sweep.ModeAuto)
-			}
-		}
-	}
-
 	out := make([]PointResult, len(pts))
-	var jobs []Job
-	var jobIdx []int
-	for i, p := range pts {
-		if analytic[i] {
+	if (sweep.Source{Tier: sweep.TierSim}).Resolve(g.Mode).Tier == sweep.TierAnalytic {
+		for i, p := range pts {
 			f, err := stall.ParseFeature(p.Feature)
 			if err != nil {
 				return nil, err
@@ -272,24 +256,24 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResul
 			if err != nil {
 				return nil, err
 			}
-			out[i] = PointResult{Point: p, Source: "an:" + p.Program, Result: res}
-			continue
+			an := sweep.Source{Tier: sweep.TierAnalytic, Workload: p.Program}
+			out[i] = PointResult{Point: p, Source: an.String(), Result: res}
 		}
-		j, err := g.job(p)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, j)
-		jobIdx = append(jobIdx, i)
+		return out, nil
 	}
-	if len(jobs) > 0 {
-		results, err := r.Run(ctx, jobs, Options{Workers: workers, Warm: g.Warm})
-		if err != nil {
+	jobs := make([]Job, len(pts))
+	for i, p := range pts {
+		var err error
+		if jobs[i], err = g.job(p); err != nil {
 			return nil, err
 		}
-		for k, i := range jobIdx {
-			out[i] = PointResult{Point: pts[i], Source: "replay", Result: results[k]}
-		}
+	}
+	results, err := r.Run(ctx, jobs, Options{Workers: workers, Warm: g.Warm})
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range pts {
+		out[i] = PointResult{Point: p, Source: "replay", Result: results[i]}
 	}
 	return out, nil
 }

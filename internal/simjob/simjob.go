@@ -52,15 +52,16 @@ type Options struct {
 	Warm bool
 }
 
-// Runner owns the shared memoization state — materialized traces and
-// warmed caches — across any number of Run calls. A single Runner is
-// safe for concurrent use; the tradeoffd service holds one for its
-// whole lifetime and wires its trace cache into every other
-// simulation tier, so traces survive across requests and endpoints.
+// Runner owns the shared memoization state — materialized traces,
+// warmed caches and analytic curves — across any number of Run calls.
+// A single Runner is safe for concurrent use; the tradeoffd service
+// holds one for its whole lifetime and wires its trace and model
+// caches into the sweep engines, so both survive across requests and
+// endpoints.
 type Runner struct {
 	traces *trace.Cache
 	warm   *engine.Memo[*cache.Cache]
-	models *model.Cache // analytic curves for the grid's model tier
+	models *model.Cache // analytic curves, for the grid and the sweeps alike
 }
 
 // NewRunner returns a Runner with empty caches; its trace cache is a
@@ -76,6 +77,10 @@ func NewRunner() *Runner {
 // Traces exposes the runner's trace cache, for the other simulation
 // tiers to share and for metrics and tests.
 func (r *Runner) Traces() *trace.Cache { return r.traces }
+
+// Models exposes the runner's analytic curve cache, for the sweep
+// engines' analytic tier to share.
+func (r *Runner) Models() *model.Cache { return r.models }
 
 // warmClone returns a clone of the warmed cache for (spec, geometry),
 // warming it on first use by streaming the trace through a fresh cache

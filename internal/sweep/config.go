@@ -15,11 +15,8 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
-	"tradeoff/internal/model"
 	"tradeoff/internal/mrc"
-	"tradeoff/internal/trace"
 )
 
 // Config is the JSON schema of a design-space sweep. The zero value of
@@ -34,7 +31,7 @@ type Config struct {
 	CPUNS      float64 `json:"cpu_ns"`       // processor cycle time
 	AddrBits   int     `json:"addr_bits"`    // address bus width (default 32)
 	CtrlPins   int     `json:"control_pins"` // control pin allowance (default 40)
-	HitSource  string  `json:"hit_source"`   // "model", "an:", "sim:", "mrc:" or "mrc~:<workload>"
+	HitSource  string  `json:"hit_source"`   // pricing tier and workload, parsed by ParseSource (default "model")
 	Mode       string  `json:"mode"`         // "exact", "model" or "auto" (default "exact")
 	SimRefs    int     `json:"sim_refs"`     // references per simulated point (default 200000)
 	Seed       uint64  `json:"seed"`
@@ -65,81 +62,14 @@ type LevelAxes struct {
 }
 
 // Evaluation modes: how the mode knob reinterprets hit_source.
-// ModeExact prices hit_source exactly as written. ModeModel re-prices
-// any workload-bearing source ("sim:", "mrc:", "mrc~:") with the
-// closed-form analytic tier (internal/model) and errors if the
-// workload is not covered. ModeAuto does the same but falls back to
-// the written source instead of erroring — the "answer fast when you
-// can, answer right when you must" knob.
+// ModeExact prices it as written; ModeModel and ModeAuto re-price any
+// workload-bearing source on the analytic tier (internal/model).
+// Source.Resolve is the rule.
 const (
 	ModeExact = "exact"
 	ModeModel = "model"
 	ModeAuto  = "auto"
 )
-
-// hitSourcePrefixes are the workload-bearing hit-source forms, in
-// match order ("mrc~:" before "mrc:" so CutPrefix cannot mis-split).
-var hitSourcePrefixes = []string{"an:", "sim:", "mrc~:", "mrc:"}
-
-// SourceWorkload splits a hit source into its prefix and workload
-// name. The bare "model" source (the calibrated miss-ratio surface)
-// carries no workload: ok is false.
-func SourceWorkload(hitSource string) (prefix, workload string, ok bool) {
-	for _, p := range hitSourcePrefixes {
-		if name, found := strings.CutPrefix(hitSource, p); found {
-			return p, name, true
-		}
-	}
-	return "", "", false
-}
-
-// validateHitSource rejects malformed hit sources at validation time.
-// Every prefixed source must name a known workload: a bare prefix
-// ("mrc:") or an unknown name used to pass Validate and only fail
-// deep inside the run, after the service had already admitted and
-// memoized the request.
-func validateHitSource(hitSource string) error {
-	if hitSource == "model" {
-		return nil
-	}
-	prefix, name, ok := SourceWorkload(hitSource)
-	if !ok {
-		return fmt.Errorf("sweep: hit_source %q, want \"model\", \"an:\", \"sim:\", \"mrc:\" or \"mrc~:<workload>\"", hitSource)
-	}
-	if name == "" {
-		return fmt.Errorf("sweep: hit_source %q names no workload: %q must be followed by one of %s",
-			hitSource, prefix, strings.Join(trace.Workloads(), ", "))
-	}
-	if unknown := trace.ValidWorkloads([]string{name}); len(unknown) > 0 {
-		return fmt.Errorf("sweep: hit_source %q: unknown workload %q, want one of %s",
-			hitSource, name, strings.Join(trace.Workloads(), ", "))
-	}
-	return nil
-}
-
-// EffectiveHitSource resolves the Mode knob against HitSource and
-// returns the source the engine actually prices. ModeExact (and the
-// already-analytic "an:"/"model" sources) pass through; ModeModel
-// maps "sim:w"/"mrc:w"/"mrc~:w" to "an:w" when the analytic tier
-// covers w and errors otherwise; ModeAuto falls back to the written
-// source instead of erroring. It assumes SetDefaults has run.
-func (c Config) EffectiveHitSource() (string, error) {
-	if c.Mode == "" || c.Mode == ModeExact {
-		return c.HitSource, nil
-	}
-	prefix, name, ok := SourceWorkload(c.HitSource)
-	if !ok || prefix == "an:" {
-		return c.HitSource, nil // no workload to re-price, or already analytic
-	}
-	if model.Covered(name) {
-		return "an:" + name, nil
-	}
-	if c.Mode == ModeAuto {
-		return c.HitSource, nil
-	}
-	return "", fmt.Errorf("sweep: mode %q: no analytic model covers workload %q (hit_source %q); use mode %q to fall back",
-		ModeModel, name, c.HitSource, ModeAuto)
-}
 
 // ExampleConfig is a commented-out-free example configuration, printed
 // by `sweep -example` and used by the golden tests.
@@ -223,7 +153,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("sweep: bus_bits entry %d, want a positive multiple of 8", b)
 		}
 	}
-	if err := validateHitSource(c.HitSource); err != nil {
+	if _, err := ParseSource(c.HitSource); err != nil {
 		return err
 	}
 	switch c.Mode {

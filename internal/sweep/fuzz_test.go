@@ -25,11 +25,10 @@ func FuzzSpaceConfig(f *testing.F) {
 		// Accepted configs are fully defaulted and in-domain: any
 		// prefixed hit source names a known workload, and the mode
 		// knob is one of the three enum values.
-		if cfg.HitSource != "model" {
-			_, name, ok := SourceWorkload(cfg.HitSource)
-			if !ok || len(trace.ValidWorkloads([]string{name})) > 0 {
-				t.Fatalf("accepted config has hit_source %q", cfg.HitSource)
-			}
+		src, err := ParseSource(cfg.HitSource)
+		if err != nil || src.String() != cfg.HitSource ||
+			(src.Tier != TierModel && len(trace.ValidWorkloads([]string{src.Workload})) > 0) {
+			t.Fatalf("accepted config has hit_source %q", cfg.HitSource)
 		}
 		if cfg.Mode != ModeExact && cfg.Mode != ModeModel && cfg.Mode != ModeAuto {
 			t.Fatalf("accepted config has mode %q", cfg.Mode)

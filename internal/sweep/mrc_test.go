@@ -116,11 +116,11 @@ func TestMRCSampledSweepRuns(t *testing.T) {
 	}
 }
 
-// TestRunCurvesSharesCache proves curves survive across sweeps when
+// TestRunCachesSharesCurves proves curves survive across sweeps when
 // the caller owns the cache: the second sweep performs zero passes.
-func TestRunCurvesSharesCache(t *testing.T) {
+func TestRunCachesSharesCurves(t *testing.T) {
 	curves := mrc.NewCurveCache(0, 0)
-	if _, err := RunCurves(context.Background(), mrcGrid("mrc:ear"), 0, curves); err != nil {
+	if _, err := RunCaches(context.Background(), mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
 		t.Fatal(err)
 	}
 	n := curves.Len()
@@ -129,7 +129,7 @@ func TestRunCurvesSharesCache(t *testing.T) {
 	}
 	tracer := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tracer)
-	if _, err := RunCurves(ctx, mrcGrid("mrc:ear"), 0, curves); err != nil {
+	if _, err := RunCaches(ctx, mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -158,11 +158,8 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 		return OptimizeResult{}, err
 	}
 	ctx = trace.WithHold(ctx)
-	hit, source, err := hitFunc(cfg.Config, caches)
-	if err != nil {
-		return OptimizeResult{}, err
-	}
-	points, err := optimizePoints(ctx, cfg, hit)
+	pr := newPricer(cfg.Config, caches)
+	points, err := optimizePoints(ctx, cfg, pr.hit)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -176,13 +173,7 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 			s.SetArg("cache_kb", p.cacheKB)
 			s.SetArg("levels", len(p.levels)+1)
 		}
-		var d Design
-		var err error
-		if len(p.levels) > 0 {
-			d, err = evaluateHierarchy(ctx, cfg.Config, caches, hit, source, p)
-		} else {
-			d, err = evaluate(ctx, cfg.Config, hit, source, p)
-		}
+		d, err := pr.evaluate(ctx, p)
 		if err != nil {
 			return Design{}, err
 		}

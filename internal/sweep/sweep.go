@@ -73,17 +73,7 @@ type levelPoint struct {
 // context cancels in-flight evaluation: a disconnected HTTP client or
 // an interrupted CLI stops the pool early with ctx.Err().
 func Run(ctx context.Context, cfg Config, workers int) ([]Design, error) {
-	return RunCurves(ctx, cfg, workers, nil)
-}
-
-// RunCurves is Run with a caller-owned miss-ratio-curve cache backing
-// the "mrc:"/"mrc~:" hit sources, so curves survive across sweeps (the
-// tradeoffd service holds one for its lifetime). A nil cache is fine —
-// an mrc sweep then profiles into a private cache, still paying
-// exactly one trace pass per (workload, line size) and materializing
-// the trace once within that sweep.
-func RunCurves(ctx context.Context, cfg Config, workers int, curves *mrc.CurveCache) ([]Design, error) {
-	return RunCaches(ctx, cfg, workers, Caches{Curves: curves})
+	return RunCaches(ctx, cfg, workers, Caches{})
 }
 
 // Caches holds the caller-owned memoization state a sweep may share
@@ -100,7 +90,8 @@ type Caches struct {
 	// hierarchy for "sim:" sweeps with levels in place of
 	// MeasureHierarchy over Traces — simjob.Runner.MeasureHierarchy
 	// is one such value. sweep cannot import simjob (simjob imports
-	// sweep), so the seam is a function value.
+	// sweep), so the seam is a function value, kept only for
+	// e2ebench's in-process pipeline; the service sets Traces.
 	Measure MeasureFunc
 	// Traces serves the "sim:" tiers' traces; a private curve cache
 	// profiles from it too.
@@ -112,17 +103,15 @@ type Caches struct {
 // the level configs, top first.
 type MeasureFunc func(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error)
 
-// RunCaches is RunCurves generalized to every cached hit source.
+// RunCaches is Run with caller-owned memoization state (see Caches),
+// which the tradeoffd service holds for its lifetime.
 func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]Design, error) {
 	cfg.SetDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ctx = trace.WithHold(ctx)
-	hit, source, err := hitFunc(cfg, caches)
-	if err != nil {
-		return nil, err
-	}
+	pr := newPricer(cfg, caches)
 
 	points := enumerate(cfg)
 	if len(points) == 0 {
@@ -136,10 +125,7 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 			s.SetArg("line", p.line)
 			s.SetArg("bus_bits", p.busBits)
 		}
-		if len(p.levels) > 0 {
-			return evaluateHierarchy(ctx, cfg, caches, hit, source, p)
-		}
-		return evaluate(ctx, cfg, hit, source, p)
+		return pr.evaluate(ctx, p)
 	})
 	if err != nil {
 		return nil, err
@@ -199,11 +185,33 @@ func extendLevels(points []point, cfg Config, p point, depth int) []point {
 	return points
 }
 
+// pricer prices the design points of one run: the validated config,
+// the caller's caches, the resolved hit source and its lookup.
+type pricer struct {
+	cfg    Config
+	caches Caches
+	source Source
+	hit    hitRatioFunc
+}
+
+// newPricer parses and resolves cfg's hit source once per run. cfg
+// must be defaulted and validated, so the source parses.
+func newPricer(cfg Config, caches Caches) *pricer {
+	src, _ := ParseSource(cfg.HitSource)
+	src = src.Resolve(cfg.Mode)
+	return &pricer{cfg: cfg, caches: caches, source: src, hit: hitFunc(cfg, caches, src)}
+}
+
 // evaluate prices one design point: hit ratio from the configured
 // source, Eq. (2)-style mean delay per reference, rbe area and pins.
-func evaluate(ctx context.Context, cfg Config, hit hitRatioFunc, source string, p point) (Design, error) {
+// Hierarchies go to evaluateHierarchy.
+func (pr *pricer) evaluate(ctx context.Context, p point) (Design, error) {
+	if len(p.levels) > 0 {
+		return pr.evaluateHierarchy(ctx, p)
+	}
+	cfg := pr.cfg
 	d := p.busBits / 8
-	hr, err := hit(ctx, p.cacheKB<<10, p.line)
+	hr, err := pr.hit(ctx, p.cacheKB<<10, p.line)
 	if err != nil {
 		return Design{}, err
 	}
@@ -218,7 +226,7 @@ func evaluate(ctx context.Context, cfg Config, hit hitRatioFunc, source string, 
 	pins := area.Pins{DataBits: p.busBits, AddrBits: cfg.AddrBits, Control: cfg.CtrlPins}
 	return Design{
 		CacheKB: p.cacheKB, LineBytes: p.line, BusBits: p.busBits,
-		HitRatio: hr, HitSource: source, Delay: delay, AreaRBE: rbe, Pins: pins.Total(),
+		HitRatio: hr, HitSource: pr.source.String(), Delay: delay, AreaRBE: rbe, Pins: pins.Total(),
 	}, nil
 }
 
@@ -229,21 +237,19 @@ func evaluate(ctx context.Context, cfg Config, hit hitRatioFunc, source string, 
 // the miss stream above is (C(S_i) − C(S_{i−1})) / (1 − C(S_{i−1})).
 // Delay is core.HierarchyDelay with the memory line fill priced at
 // the last level's line size; area sums every level's rbe.
-func evaluateHierarchy(ctx context.Context, cfg Config, caches Caches, hit hitRatioFunc, source string, p point) (Design, error) {
+func (pr *pricer) evaluateHierarchy(ctx context.Context, p point) (Design, error) {
+	cfg := pr.cfg
 	d := p.busBits / 8
 	c := 1 + cfg.LatencyNS/cfg.CPUNS
 	beta := cfg.TransferNS / cfg.CPUNS
 	lastLine := p.levels[len(p.levels)-1].line
 	tMem := c + float64(lastLine)/float64(d)*beta
 
-	var locals []float64
-	var global float64
-	var err error
-	if name, ok := strings.CutPrefix(source, "sim:"); ok {
-		locals, global, err = measuredLocals(ctx, cfg, caches, name, p)
-	} else {
-		locals, global, err = curveLocals(ctx, hit, p)
+	localsOf := pr.curveLocals
+	if pr.source.Tier == TierSim {
+		localsOf = pr.measuredLocals
 	}
+	locals, global, err := localsOf(ctx, p)
 	if err != nil {
 		return Design{}, err
 	}
@@ -297,7 +303,7 @@ func evaluateHierarchy(ctx context.Context, cfg Config, caches Caches, hit hitRa
 	pins := area.Pins{DataBits: p.busBits, AddrBits: cfg.AddrBits, Control: cfg.CtrlPins}
 	return Design{
 		CacheKB: p.cacheKB, LineBytes: p.line, BusBits: p.busBits,
-		HitRatio: specs[0].HitRatio, HitSource: source, Delay: delay,
+		HitRatio: specs[0].HitRatio, HitSource: pr.source.String(), Delay: delay,
 		AreaRBE: total, Pins: pins.Total(),
 		Levels: levels, GlobalHitRatio: global,
 	}, nil
@@ -305,7 +311,8 @@ func evaluateHierarchy(ctx context.Context, cfg Config, caches Caches, hit hitRa
 
 // measuredLocals replays the workload through a real N-level hierarchy
 // (via the Measure seam when wired, else MeasureHierarchy on Traces).
-func measuredLocals(ctx context.Context, cfg Config, caches Caches, workload string, p point) ([]float64, float64, error) {
+func (pr *pricer) measuredLocals(ctx context.Context, p point) ([]float64, float64, error) {
+	cfg, workload := pr.cfg, pr.source.Workload
 	cfgs := make([]cache.Config, 0, len(p.levels)+1)
 	cfgs = append(cfgs, cache.Config{Size: p.cacheKB << 10, LineSize: p.line, Assoc: cfg.Assoc})
 	for i, lp := range p.levels {
@@ -313,10 +320,10 @@ func measuredLocals(ctx context.Context, cfg Config, caches Caches, workload str
 	}
 	var stats cache.HierarchyStats
 	var err error
-	if caches.Measure != nil {
-		stats, err = caches.Measure(ctx, workload, cfg.Seed, cfg.SimRefs, cfgs)
+	if pr.caches.Measure != nil {
+		stats, err = pr.caches.Measure(ctx, workload, cfg.Seed, cfg.SimRefs, cfgs)
 	} else {
-		stats, err = MeasureHierarchy(ctx, caches.Traces, workload, cfg.Seed, cfg.SimRefs, cfgs)
+		stats, err = MeasureHierarchy(ctx, pr.caches.Traces, workload, cfg.Seed, cfg.SimRefs, cfgs)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -349,16 +356,16 @@ func MeasureHierarchy(ctx context.Context, traces *trace.Cache, workload string,
 
 // curveLocals prices every level off the configured hit-ratio curve
 // via the LRU stack property.
-func curveLocals(ctx context.Context, hit hitRatioFunc, p point) ([]float64, float64, error) {
+func (pr *pricer) curveLocals(ctx context.Context, p point) ([]float64, float64, error) {
 	locals := make([]float64, 0, len(p.levels)+1)
-	g, err := hit(ctx, p.cacheKB<<10, p.line)
+	g, err := pr.hit(ctx, p.cacheKB<<10, p.line)
 	if err != nil {
 		return nil, 0, err
 	}
 	g = clampRatio(g, 1)
 	locals = append(locals, g)
 	for _, lp := range p.levels {
-		gi, err := hit(ctx, lp.kb<<10, lp.line)
+		gi, err := pr.hit(ctx, lp.kb<<10, lp.line)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -390,84 +397,64 @@ func clampRatio(v, hi float64) float64 {
 // sweep_point in a -trace export.
 type hitRatioFunc func(ctx context.Context, sizeBytes, line int) (float64, error)
 
-// mrcSource splits an "mrc:<workload>" or "mrc~:<workload>" hit source
-// into its workload name and sampling flag.
-func mrcSource(hitSource string) (name string, sampled, ok bool) {
-	if name, ok = strings.CutPrefix(hitSource, "mrc~:"); ok {
-		return name, true, true
-	}
-	name, ok = strings.CutPrefix(hitSource, "mrc:")
-	return name, false, ok
-}
-
-// hitFunc returns the hit-ratio source selected by the config after
-// Mode resolution, along with the effective source string recorded on
-// every Design: the calibrated design-target surface ("model"), the
-// closed-form analytic curve ("an:<name>", internal/model), cache
-// simulation of a named workload ("sim:<name>"), or a single-pass
-// miss-ratio curve ("mrc:<name>" exact, "mrc~:<name>" SHARDS-sampled).
-// Simulated sources replay the run's one held trace through a fresh
-// cache per call; curve sources share one memoized curve per
-// (workload, line size) through caches. Either way the returned
-// function is safe for concurrent use by the pool.
-func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
-	source, err := cfg.EffectiveHitSource()
-	if err != nil {
-		return nil, "", err
-	}
-	if source == "model" {
+// hitFunc returns the hit-ratio lookup of the resolved source src,
+// safe for concurrent use by the pool. TierSim replays the run's one
+// held trace through a fresh cache per call; the curve tiers share one
+// memoized curve per (workload, line size) through caches.
+func hitFunc(cfg Config, caches Caches, src Source) hitRatioFunc {
+	var curve func(ctx context.Context, line int) (*mrc.Curve, bool, error)
+	switch src.Tier {
+	case TierModel:
 		m := missratio.DefaultModel()
 		return func(_ context.Context, size, line int) (float64, error) {
 			return 1 - m.MissRatio(size, line), nil
-		}, source, nil
-	}
-	if name, ok := strings.CutPrefix(source, "an:"); ok {
+		}
+	case TierSim:
+		named := trace.Named{Program: src.Workload, Seed: cfg.Seed, Refs: cfg.SimRefs}
+		return func(ctx context.Context, size, line int) (float64, error) {
+			refs, err := caches.Traces.Get(ctx, named)
+			if err != nil {
+				return 0, err
+			}
+			c, err := cache.New(cache.Config{Size: size, LineSize: line, Assoc: cfg.Assoc})
+			if err != nil {
+				return 0, err
+			}
+			return cache.Measure(c, refs).HitRatio, nil
+		}
+	case TierAnalytic:
 		models := caches.Models
 		if models == nil {
 			models = model.NewCache(0, 0)
 		}
-		spec := model.Spec{Workload: name, Seed: cfg.Seed, Refs: cfg.SimRefs}
-		return func(ctx context.Context, size, line int) (float64, error) {
-			s := spec
-			s.LineSize = line
-			c, _, err := models.Get(ctx, s)
-			if err != nil {
-				return 0, err
-			}
-			return c.HitRatioAssoc(size, cfg.Assoc), nil
-		}, source, nil
-	}
-	if name, sampled, ok := mrcSource(source); ok {
+		spec := model.Spec{Workload: src.Workload, Seed: cfg.Seed, Refs: cfg.SimRefs}
+		curve = func(ctx context.Context, line int) (*mrc.Curve, bool, error) {
+			spec := spec
+			spec.LineSize = line
+			return models.Get(ctx, spec)
+		}
+	default: // TierMRC, TierMRCSampled
 		curves := caches.Curves
 		if curves == nil {
 			curves = mrc.NewCurveCacheOn(caches.Traces, 0, 0)
 		}
-		spec := mrc.Spec{Workload: name, Seed: cfg.Seed, Refs: cfg.SimRefs, Sampled: sampled}
-		if sampled {
+		spec := mrc.Spec{Workload: src.Workload, Seed: cfg.Seed, Refs: cfg.SimRefs, Sampled: src.Tier == TierMRCSampled}
+		if spec.Sampled {
 			spec.Sampler = mrc.SamplerConfig{Rate: cfg.MRCRate, Budget: cfg.MRCBudget}
 		}
-		return func(ctx context.Context, size, line int) (float64, error) {
-			s := spec
-			s.LineSize = line
-			c, _, err := curves.Get(ctx, s)
-			if err != nil {
-				return 0, err
-			}
-			return c.HitRatioAssoc(size, cfg.Assoc), nil
-		}, source, nil
+		curve = func(ctx context.Context, line int) (*mrc.Curve, bool, error) {
+			spec := spec
+			spec.LineSize = line
+			return curves.Get(ctx, spec)
+		}
 	}
-	named := trace.Named{Program: strings.TrimPrefix(source, "sim:"), Seed: cfg.Seed, Refs: cfg.SimRefs}
 	return func(ctx context.Context, size, line int) (float64, error) {
-		refs, err := caches.Traces.Get(ctx, named)
+		c, _, err := curve(ctx, line)
 		if err != nil {
 			return 0, err
 		}
-		c, err := cache.New(cache.Config{Size: size, LineSize: line, Assoc: cfg.Assoc})
-		if err != nil {
-			return 0, err
-		}
-		return cache.Measure(c, refs).HitRatio, nil
-	}, source, nil
+		return c.HitRatioAssoc(size, cfg.Assoc), nil
+	}
 }
 
 // MarkPareto flags designs not dominated in (delay, area, pins).

@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tradeoff/internal/model"
+	"tradeoff/internal/trace"
 )
 
 // goldenExample runs the -example config at the given pool size and
@@ -110,16 +113,24 @@ func TestValidateRejects(t *testing.T) {
 // unknown workload suffix used to pass Validate (the check was a
 // plain HasPrefix) and only fail deep inside the run. They must now
 // be rejected up front, with an error that names the known workloads.
+// The messages are part of the service's 400 responses, so they are
+// pinned byte for byte.
 func TestValidateHitSourceSuffix(t *testing.T) {
 	base := `{"cache_kb":[8],"line_bytes":[32],"bus_bits":[32],"latency_ns":1,"transfer_ns":1,"cpu_ns":1,"hit_source":%q}`
+	const known = "nasa7, swm256, wave5, ear, doduc, hydro2d, zipf"
 	for _, src := range []string{"mrc:", "mrc~:", "sim:", "an:", "mrc:gcc", "mrc~:gcc", "sim:gcc", "an:gcc"} {
 		_, err := ParseConfig([]byte(fmt.Sprintf(base, src)))
 		if err == nil {
 			t.Errorf("hit_source %q accepted, want a validation error", src)
 			continue
 		}
-		if !strings.Contains(err.Error(), "ear") || !strings.Contains(err.Error(), "zipf") {
-			t.Errorf("hit_source %q: error %q does not name the known workloads", src, err)
+		prefix, name, _ := strings.Cut(src, ":")
+		want := fmt.Sprintf("sweep: hit_source %q: unknown workload %q, want one of %s", src, name, known)
+		if name == "" {
+			want = fmt.Sprintf("sweep: hit_source %q names no workload: %q must be followed by one of %s", src, prefix+":", known)
+		}
+		if err.Error() != want {
+			t.Errorf("hit_source %q: error\n%s\nwant\n%s", src, err, want)
 		}
 	}
 	for _, src := range []string{"model", "sim:zipf", "mrc:ear", "mrc~:nasa7", "an:hydro2d"} {
@@ -151,31 +162,66 @@ func TestValidateMode(t *testing.T) {
 	}
 }
 
-// TestEffectiveHitSource pins the mode → source decision rule.
+// TestEffectiveHitSource pins the hit_source grammar and the mode
+// rule: every accepted spelling parses to a Source whose String is the
+// spelling itself, Resolve re-prices every workload-bearing tier on
+// the analytic tier outside exact mode — the same answer the stall
+// grid stamps on a replayed program's points — and EffectiveHitSource
+// is that resolution spelled out.
 func TestEffectiveHitSource(t *testing.T) {
-	cases := []struct {
-		mode, src, want string
-		wantErr         bool
-	}{
-		{ModeExact, "sim:ear", "sim:ear", false},
-		{ModeExact, "an:ear", "an:ear", false},
-		{ModeModel, "sim:ear", "an:ear", false},
-		{ModeModel, "mrc:zipf", "an:zipf", false},
-		{ModeModel, "mrc~:nasa7", "an:nasa7", false},
-		{ModeModel, "an:doduc", "an:doduc", false},
-		{ModeModel, "model", "model", false}, // calibrated surface: nothing to re-price
-		{ModeAuto, "mrc:hydro2d", "an:hydro2d", false},
-		{ModeAuto, "model", "model", false},
-	}
-	for _, c := range cases {
-		cfg := Config{Mode: c.mode, HitSource: c.src}
-		got, err := cfg.EffectiveHitSource()
-		if (err != nil) != c.wantErr {
-			t.Errorf("mode %q src %q: err = %v, wantErr %v", c.mode, c.src, err, c.wantErr)
-			continue
+	tiers := map[string]Tier{"an:": TierAnalytic, "sim:": TierSim, "mrc:": TierMRC, "mrc~:": TierMRCSampled}
+	for _, w := range trace.Workloads() {
+		grid := Source{Tier: TierSim, Workload: w} // a stall grid's replayed program
+		for prefix, tier := range tiers {
+			spelling := prefix + w
+			src, err := ParseSource(spelling)
+			if err != nil {
+				t.Fatalf("ParseSource(%q): %v", spelling, err)
+			}
+			if want := (Source{Tier: tier, Workload: w}); src != want {
+				t.Errorf("ParseSource(%q) = %+v, want %+v", spelling, src, want)
+			}
+			if got := src.String(); got != spelling {
+				t.Errorf("ParseSource(%q).String() = %q", spelling, got)
+			}
+			if got := src.Resolve(ModeExact); got != src {
+				t.Errorf("%q resolves to %v in exact mode, want itself", spelling, got)
+			}
+			for _, mode := range []string{ModeModel, ModeAuto} {
+				got := src.Resolve(mode)
+				if want := (Source{Tier: TierAnalytic, Workload: w}); got != want || got != grid.Resolve(mode) {
+					t.Errorf("%q resolves to %v in mode %q, want %v like the stall grid's %v",
+						spelling, got, mode, want, grid.Resolve(mode))
+				}
+				eff, err := (Config{Mode: mode, HitSource: spelling}).EffectiveHitSource()
+				if err != nil || eff != "an:"+w {
+					t.Errorf("mode %q src %q: EffectiveHitSource = %q, %v, want an:%s", mode, spelling, eff, err, w)
+				}
+				if b := got.ErrorBound(); b != model.ErrorBound(w) {
+					t.Errorf("%v.ErrorBound() = %v, want %v", got, b, model.ErrorBound(w))
+				}
+			}
+			if tier != TierAnalytic && src.ErrorBound() != 0 {
+				t.Errorf("%q carries error bound %v, want 0 off the analytic tier", spelling, src.ErrorBound())
+			}
 		}
-		if got != c.want {
-			t.Errorf("mode %q src %q: got %q, want %q", c.mode, c.src, got, c.want)
+	}
+	// The calibrated surface carries no workload: nothing to re-price.
+	src, err := ParseSource("model")
+	if err != nil || src != (Source{}) || src.String() != "model" {
+		t.Fatalf("ParseSource(model) = %+v, %v", src, err)
+	}
+	for _, mode := range []string{ModeExact, ModeModel, ModeAuto} {
+		if got := src.Resolve(mode); got != src {
+			t.Errorf("model resolves to %v in mode %q", got, mode)
+		}
+	}
+	if src.ErrorBound() != 0 {
+		t.Errorf("model carries error bound %v", src.ErrorBound())
+	}
+	for _, bad := range []string{"", "Model", "psychic", "an", "sim-ear", "mrc:", "mrc~:gcc"} {
+		if _, err := ParseSource(bad); err == nil {
+			t.Errorf("ParseSource(%q) accepted", bad)
 		}
 	}
 }
