@@ -1,33 +1,23 @@
-// Package metricreg keeps the expvar metric surface coherent with the
-// internal/service/metrics.go naming scheme. Two failure modes are
+// Package metricreg keeps the internal/obs metric surface coherent
+// with the /metrics naming scheme. Two failure modes are
 // machine-checked:
 //
-//  1. duplicate registration — expvar.Publish (and the NewInt/NewFloat/
-//     NewMap/NewString wrappers) panic at runtime when a name is
-//     registered twice; metricreg reports the second registration of
-//     any constant name within a package at build time instead, and
-//  2. naming drift — every constant metric name passed to a
-//     registration call or to (*expvar.Map).Set must be lower
-//     snake_case (`^[a-z][a-z0-9_]*$`), the scheme metrics.go
-//     established (requests_total, cache_hits, latency_us_total, …);
-//     camelCase, dashes and dots would fracture the /metrics document
-//     into inconsistent dialects.
+//  1. naming drift — every constant name passed to obs.NewHistogram,
+//     obs.NewCounter or (*obs.History).Register must be lower
+//     snake_case (`^[a-z][a-z0-9_]*$`); camelCase, dashes and dots
+//     would fracture the Prometheus exposition and the metrics
+//     history into inconsistent dialects, and
+//  2. duplicate registration — registering the same constant
+//     instrument name at two call sites in a package would fuse
+//     unrelated Prometheus series into one, and Register silently
+//     replaces an existing sampler (that is how RegisterHistogram
+//     rebinds derived series), so a duplicated history name drops the
+//     first series without any runtime signal. Instrument and history
+//     names are separate namespaces.
 //
-// The same two rules cover the internal/obs instruments: names passed
-// to obs.NewHistogram and obs.NewCounter feed the Prometheus
-// exposition (/metrics?format=prom), so they share the snake_case
-// scheme, and registering the same constant name at two call sites in
-// a package would fuse unrelated series into one — flagged in a
-// namespace separate from expvar's (an obs histogram may legitimately
-// share a name with a derived expvar key).
-//
-// Metrics-history series registered through (*obs.History).Register
-// get the same treatment in a third namespace: Register silently
-// replaces an existing sampler (that is how RegisterHistogram rebinds
-// derived series), so a duplicated constant name at two call sites
-// drops the first series without any runtime signal. Computed names
-// (the per-endpoint series internal/service derives from routes) are
-// out of scope, like every non-constant name.
+// Computed names (the per-endpoint series internal/service derives
+// from routes) are out of scope, like every non-constant name; a
+// service test checks the rendered documents instead.
 package metricreg
 
 import (
@@ -45,18 +35,8 @@ import (
 // Analyzer is the metricreg check.
 var Analyzer = &lint.Analyzer{
 	Name: "metricreg",
-	Doc:  "flags expvar and obs metric names registered more than once or diverging from the snake_case naming scheme of internal/service/metrics.go",
+	Doc:  "flags obs metric and history series names registered more than once or diverging from the snake_case /metrics naming scheme",
 	Run:  run,
-}
-
-// registerFuncs are the expvar package functions that publish into the
-// process-global registry and panic on duplicates.
-var registerFuncs = map[string]bool{
-	"Publish":   true,
-	"NewInt":    true,
-	"NewFloat":  true,
-	"NewMap":    true,
-	"NewString": true,
 }
 
 // obsRegisterFuncs are the internal/obs constructors that name an
@@ -67,7 +47,7 @@ var obsRegisterFuncs = map[string]bool{
 	"NewCounter":   true,
 }
 
-// metricNameRE is the metrics.go scheme: lower snake_case, starting
+// metricNameRE is the /metrics scheme: lower snake_case, starting
 // with a letter.
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
@@ -81,10 +61,7 @@ func isObsPkg(path string) bool {
 
 func run(pass *lint.Pass) error {
 	// Package-wide, file-order traversal keeps "first registration
-	// wins, later ones are flagged" deterministic. expvar and obs
-	// names live in separate namespaces: the service deliberately
-	// derives expvar keys from obs histograms.
-	seen := map[string]token.Pos{}
+	// wins, later ones are flagged" deterministic.
 	seenObs := map[string]token.Pos{}
 	seenHist := map[string]token.Pos{}
 	for _, file := range pass.Files {
@@ -99,11 +76,9 @@ func run(pass *lint.Pass) error {
 			}
 			pkgPath := fn.Pkg().Path()
 			noRecv := fn.Type().(*types.Signature).Recv() == nil
-			global := pkgPath == "expvar" && noRecv && registerFuncs[fn.Name()]
-			mapSet := pkgPath == "expvar" && typeutil.IsNamed(recvType(fn), "expvar", "Map") && fn.Name() == "Set"
 			obsReg := isObsPkg(pkgPath) && noRecv && obsRegisterFuncs[fn.Name()]
 			histReg := isObsPkg(pkgPath) && typeutil.IsNamedSuffix(recvType(fn), "obs", "History") && fn.Name() == "Register"
-			if !global && !mapSet && !obsReg && !histReg {
+			if !obsReg && !histReg {
 				return true
 			}
 			name, ok := constString(pass, call.Args[0])
@@ -111,15 +86,9 @@ func run(pass *lint.Pass) error {
 				return true
 			}
 			if !metricNameRE.MatchString(name) {
-				pass.Reportf(call.Args[0].Pos(), "metric name %q is not snake_case; the /metrics scheme is ^[a-z][a-z0-9_]*$ (see internal/service/metrics.go)", name)
+				pass.Reportf(call.Args[0].Pos(), "metric name %q is not snake_case; the /metrics scheme is ^[a-z][a-z0-9_]*$", name)
 			}
 			switch {
-			case global:
-				if first, dup := seen[name]; dup {
-					pass.Reportf(call.Args[0].Pos(), "expvar metric %q registered more than once (first at %s); expvar.Publish panics on duplicates", name, pass.Fset.Position(first))
-				} else {
-					seen[name] = call.Args[0].Pos()
-				}
 			case obsReg:
 				if first, dup := seenObs[name]; dup {
 					pass.Reportf(call.Args[0].Pos(), "obs metric %q registered more than once (first at %s); duplicate names fuse into one Prometheus series", name, pass.Fset.Position(first))

@@ -1,10 +1,6 @@
 package obstest
 
-import (
-	"expvar"
-
-	"obs"
-)
+import "obs"
 
 var (
 	evalHist  = obs.NewHistogram("engine_eval_duration")
@@ -14,10 +10,6 @@ var (
 	dashes    = obs.NewCounter("memo-hits") // want `metric name "memo-hits" is not snake_case`
 	dupKind   = obs.NewCounter("memo_hits") // want `obs metric "memo_hits" registered more than once`
 )
-
-// The expvar and obs namespaces are separate: deriving an expvar key
-// from an obs histogram's name is the service's documented pattern.
-var shared = expvar.NewInt("engine_eval_duration")
 
 func dynamic(name string) {
 	obs.NewHistogram(name) // non-constant: out of scope
@@ -29,7 +21,7 @@ func historySeries(h *obs.History, route string) {
 	h.Register("HeapBytes", func() float64 { return 0 })      // want `metric name "HeapBytes" is not snake_case`
 	h.Register("requests_total", func() float64 { return 0 }) // want `history series "requests_total" registered more than once`
 	// History names are a namespace of their own: sharing a name with
-	// an obs instrument or an expvar key is the documented pattern.
+	// an obs instrument is the documented pattern.
 	h.Register("memo_hits", func() float64 { return 0 })
 	h.Register("endpoint_"+route, func() float64 { return 0 }) // computed: out of scope
 	h.RegisterCounter(hits)                                    // no name argument, not a registration
@@ -40,4 +32,4 @@ func suppressed() {
 	obs.NewCounter("Legacy-Counter")
 }
 
-var _, _, _, _, _, _ = evalHist, queueHist, dupHist, dashes, dupKind, shared
+var _, _, _, _, _ = evalHist, queueHist, dupHist, dashes, dupKind

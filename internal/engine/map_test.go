@@ -51,7 +51,9 @@ func TestMapEmpty(t *testing.T) {
 }
 
 // TestMapFirstErrorWins checks a failing item cancels the pool, the
-// failure's error is returned, and not every item runs.
+// failure's error is returned, and not every item runs. Items after
+// the failing one wait for the cancellation, so healthy workers cannot
+// drain the whole input before it lands.
 func TestMapFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	items := make([]int, 1000)
@@ -61,8 +63,15 @@ func TestMapFirstErrorWins(t *testing.T) {
 	var ran atomic.Int64
 	_, err := Map(context.Background(), items, 4, func(ctx context.Context, v int) (int, error) {
 		ran.Add(1)
-		if v == 3 {
+		switch {
+		case v == 3:
 			return 0, fmt.Errorf("item %d: %w", v, boom)
+		case v > 3:
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				t.Errorf("item %d never saw the failure's cancellation", v)
+			}
 		}
 		return v, nil
 	})

@@ -133,9 +133,8 @@ func bucketLow(i int) int64 {
 	return (1<<subBits + sub) << shift
 }
 
-// Counter is a named atomic counter — the obs sibling of expvar.Int
-// for code that must stay expvar-free (the engine), with the same
-// metricreg-enforced naming scheme.
+// Counter is a named atomic counter (the engine's memo outcomes),
+// under the metricreg-enforced naming scheme.
 type Counter struct {
 	name string
 	v    atomic.Int64

@@ -163,9 +163,9 @@ func (h *History) Last() (time.Time, bool) {
 
 // Tick samples every registered series at now and fans the snapshot
 // out to subscribers. Samplers run under the store lock; they are all
-// atomic reads by construction (counters, histogram buckets, expvar
-// ints), so a tick costs microseconds. A sampler returning NaN or
-// ±Inf records 0 — rings must stay JSON-encodable.
+// atomic reads by construction (counters, histogram buckets), so a
+// tick costs microseconds. A sampler returning NaN or ±Inf records
+// 0 — rings must stay JSON-encodable.
 func (h *History) Tick(now time.Time) TickSnapshot {
 	h.mu.Lock()
 	snap := TickSnapshot{T: now.UnixMilli(), Values: make(map[string]float64, len(h.order))}

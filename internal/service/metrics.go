@@ -3,37 +3,35 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tradeoff/internal/obs"
 )
 
-// metrics holds the server's counters. The vars are per-Server (not
-// published to the global expvar registry) so tests and embedders can
-// run several servers without name collisions. GET /metrics renders
-// them in expvar's JSON format; ?format=prom renders the same state
-// as Prometheus text exposition (see prom.go), where the request
-// duration histograms additionally report p50/p95/p99.
+// metrics holds the server's instruments, per-Server so several
+// servers can run side by side. GET /metrics renders them as JSON,
+// ?format=prom as Prometheus text (see prom.go), and registerSeries
+// samples them into the history; all three walk the same scalars
+// table and endpoints slice, so each series is declared once.
 type metrics struct {
-	requests    expvar.Int // requests accepted, all endpoints
-	errors      expvar.Int // responses with status >= 400
-	cacheHits   expvar.Int // memoization hits (cache or shared flight)
-	cacheMisses expvar.Int // memoization misses
-	inFlight    expvar.Int // requests currently being served
-	endpoints   expvar.Map // per-endpoint requests/errors/latency/durations
+	requests    atomic.Int64 // requests accepted, all endpoints
+	errors      atomic.Int64 // responses with status >= 400
+	cacheHits   atomic.Int64 // memoization hits (cache or shared flight)
+	cacheMisses atomic.Int64 // memoization misses
+	inFlight    atomic.Int64 // requests currently being served
 
-	// durations holds one obs histogram per endpoint — the single
-	// source for the duration_count / duration_ns_total /
-	// duration_ns_max expvar triple (derived views, see histVar) and
-	// the Prometheus duration summary with quantiles.
-	durationsMu sync.Mutex
-	durations   map[string]*obs.Histogram
+	// endpoints holds one entry per route, sorted by route. Entries are
+	// added only while New wires the routes, so the slice is fixed
+	// before the first request and read without a lock.
+	endpoints []*endpointStats
 
 	// xval is the latest cross-validation sample per workload from the
 	// continuous model-vs-exact loop (Server.RunXVal), plus the pass
@@ -52,22 +50,57 @@ type metrics struct {
 	// behind the byte-bounded LRU. Wired by New.
 	cacheBytes func() int64
 
-	// sloJSON and sloProm render the SLO layer's burn-rate state into
-	// the two /metrics formats. Both are nil unless the server was
-	// configured with objectives, which keeps the default output —
-	// including the Prometheus golden — byte-identical to a server
-	// without an SLO layer. Wired by New.
-	sloJSON func() []byte
-	sloProm func(*bytes.Buffer)
+	// slo scores the configured objectives' burn rates. It is nil
+	// without objectives, which keeps both /metrics documents —
+	// including the goldens — byte-identical to a server without an
+	// SLO layer. Wired by New.
+	slo func() []sloStatus
+}
+
+// endpointStats is one route's instruments. evaluations advances only
+// when the endpoint's run function executes, so (requests -
+// evaluations) is the work the memo and its singleflight absorbed.
+type endpointStats struct {
+	route                         string
+	requests, errors, evaluations atomic.Int64
+	duration                      *obs.Histogram
+}
+
+// scalar is one unlabeled series: its name as JSON and the history
+// spell it (Prometheus adds the tradeoffd_ prefix), HELP text, TYPE
+// and current value.
+type scalar struct {
+	name, help, kind string
+	value            func() int64
+}
+
+// scalars is the one declaration of the service-wide series every
+// renderer loops over.
+func (m *metrics) scalars() []scalar {
+	return []scalar{
+		{"requests_total", "Requests accepted across all endpoints.", "counter", m.requests.Load},
+		{"errors_total", "Responses with status >= 400.", "counter", m.errors.Load},
+		{"cache_hits", "Response-memo hits (cache or shared flight).", "counter", m.cacheHits.Load},
+		{"cache_misses", "Response-memo misses.", "counter", m.cacheMisses.Load},
+		{"cache_bytes", "Bytes held by the response memo.", "gauge", m.cacheBytes},
+		{"in_flight", "Requests currently being served.", "gauge", m.inFlight.Load},
+	}
 }
 
 func newMetrics() *metrics {
-	m := &metrics{
-		durations: make(map[string]*obs.Histogram),
-		xval:      make(map[string]xvalSample),
+	return &metrics{xval: make(map[string]xvalSample)}
+}
+
+// endpoint returns the route's instruments, adding them in route
+// order on first use. Routes are added only during construction.
+func (m *metrics) endpoint(route string) *endpointStats {
+	i, ok := slices.BinarySearchFunc(m.endpoints, route, func(ep *endpointStats, route string) int {
+		return strings.Compare(ep.route, route)
+	})
+	if !ok {
+		m.endpoints = slices.Insert(m.endpoints, i, &endpointStats{route: route, duration: obs.NewHistogram("request_duration")})
 	}
-	m.endpoints.Init()
-	return m
+	return m.endpoints[i]
 }
 
 // xvalSample is one workload's latest cross-validation outcome: the
@@ -107,66 +140,6 @@ func (m *metrics) xvalSnapshot() (int64, []string, []xvalSample) {
 	return m.xvalPasses, names, samples
 }
 
-// duration returns (creating on first use) the endpoint's request
-// duration histogram.
-func (m *metrics) duration(name string) *obs.Histogram {
-	m.durationsMu.Lock()
-	defer m.durationsMu.Unlock()
-	h, ok := m.durations[name]
-	if !ok {
-		h = obs.NewHistogram("request_duration")
-		m.durations[name] = h
-	}
-	return h
-}
-
-// endpointVars returns (creating on first use) the per-endpoint
-// counter map: requests, errors and evaluations as counters, plus
-// latency_us_total and the request-duration triple (count / total ns
-// / max ns) as views derived from the endpoint's duration histogram —
-// the same JSON keys the triple always had, now backed by one
-// instrument that can also estimate quantiles.
-func (m *metrics) endpointVars(name string) *expvar.Map {
-	if v := m.endpoints.Get(name); v != nil {
-		return v.(*expvar.Map)
-	}
-	h := m.duration(name)
-	em := new(expvar.Map).Init()
-	em.Set("requests", new(expvar.Int))
-	em.Set("errors", new(expvar.Int))
-	em.Set("evaluations", new(expvar.Int))
-	em.Set("latency_us_total", histVar{h, func(h *obs.Histogram) int64 { return h.Sum().Microseconds() }})
-	em.Set("duration_count", histVar{h, (*obs.Histogram).Count})
-	em.Set("duration_ns_total", histVar{h, func(h *obs.Histogram) int64 { return h.Sum().Nanoseconds() }})
-	em.Set("duration_ns_max", histVar{h, func(h *obs.Histogram) int64 { return h.Max().Nanoseconds() }})
-	m.endpoints.Set(name, em)
-	return m.endpoints.Get(name).(*expvar.Map)
-}
-
-// evaluations returns the endpoint's actual-evaluation counter — it
-// advances only when an endpoint's run function executes, so
-// (requests - evaluations) is the work the memo and its singleflight
-// absorbed.
-func (m *metrics) evaluations(name string) *expvar.Int {
-	return m.endpointVars(name).Get("evaluations").(*expvar.Int)
-}
-
-// histVar renders one scalar view of a histogram as an expvar.Var, so
-// the expvar JSON document keeps its historical duration keys while
-// the histogram is the only thing instrument updates.
-type histVar struct {
-	h *obs.Histogram
-	f func(*obs.Histogram) int64
-}
-
-func (v histVar) String() string { return strconv.FormatInt(v.f(v.h), 10) }
-
-// rawVar renders pre-marshaled JSON as an expvar.Var, so composite
-// documents (the xval sample map) slot into the hand-built doc.
-type rawVar []byte
-
-func (v rawVar) String() string { return string(v) }
-
 // statusWriter captures the response status for error accounting
 // while keeping the wrapped writer's optional interfaces reachable:
 // Unwrap lets http.ResponseController (and through it the net/http
@@ -203,21 +176,20 @@ func (w *statusWriter) Flush() {
 }
 
 // instrument wraps an endpoint handler with request, error, in-flight
-// and duration accounting under the given endpoint name — the one
+// and duration accounting under the given route — the one
 // place every route's timing flows through. A panicking handler does
 // not distort the gauges: the deferred accounting restores in_flight,
 // counts the request as a 500 and re-panics for the server's own
 // recovery.
-func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := m.endpointVars(name)
-	dur := m.duration(name)
+func (m *metrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	ep := m.endpoint(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		m.requests.Add(1)
 		m.inFlight.Add(1)
-		ep.Get("requests").(*expvar.Int).Add(1)
+		ep.requests.Add(1)
 		if ri := reqInfoFrom(r.Context()); ri != nil {
-			ri.endpoint = name // the wide-event log's endpoint dimension
+			ri.endpoint = ep // the wide-event log's endpoint dimension
 		}
 
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -230,9 +202,9 @@ func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			if status >= 400 {
 				m.errors.Add(1)
-				ep.Get("errors").(*expvar.Int).Add(1)
+				ep.errors.Add(1)
 			}
-			dur.Observe(time.Since(start))
+			ep.duration.Observe(time.Since(start))
 			if p != nil {
 				panic(p)
 			}
@@ -241,8 +213,8 @@ func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// serveHTTP renders the counters: expvar-style JSON by default,
-// Prometheus text exposition with ?format=prom.
+// serveHTTP renders the instruments: JSON by default, Prometheus text
+// exposition with ?format=prom.
 func (m *metrics) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -258,48 +230,61 @@ func (m *metrics) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	var cacheBytes expvar.Int
-	if m.cacheBytes != nil {
-		cacheBytes.Set(m.cacheBytes())
+	_, _ = w.Write(m.jsonDoc()) // a failed write means the client left
+}
+
+// jsonDoc renders the JSON document: one top-level key per scalar,
+// plus "endpoints" (per-route counters and the duration histogram's
+// count / total / max views under their historical keys), the
+// cross-validation state and, with objectives configured, "slo".
+// Keys are sorted, so a fixed state renders fixed bytes.
+func (m *metrics) jsonDoc() []byte {
+	type entry struct{ name, value string }
+	var doc []entry
+	for _, sc := range m.scalars() {
+		doc = append(doc, entry{sc.name, strconv.FormatInt(sc.value(), 10)})
 	}
-	passes, _, _ := m.xvalSnapshot()
-	var xvalPasses expvar.Int
-	xvalPasses.Set(passes)
+
+	var eps strings.Builder
+	eps.WriteByte('{')
+	for i, ep := range m.endpoints {
+		if i > 0 {
+			eps.WriteString(", ")
+		}
+		sum := ep.duration.Sum()
+		fmt.Fprintf(&eps, `%q: {"duration_count": %d, "duration_ns_max": %d, "duration_ns_total": %d, "errors": %d, "evaluations": %d, "latency_us_total": %d, "requests": %d}`,
+			ep.route, ep.duration.Count(), ep.duration.Max().Nanoseconds(), sum.Nanoseconds(),
+			ep.errors.Load(), ep.evaluations.Load(), sum.Microseconds(), ep.requests.Load())
+	}
+	eps.WriteByte('}')
+	doc = append(doc, entry{"endpoints", eps.String()})
+
 	m.xvalMu.Lock()
+	passes := m.xvalPasses
 	xvalDoc, err := json.Marshal(m.xval) // map keys render sorted
 	m.xvalMu.Unlock()
 	if err != nil {
-		xvalDoc = []byte("{}")
+		xvalDoc = []byte("{}") // xvalSample cannot fail to marshal
 	}
-	vars := []struct {
-		name string
-		v    expvar.Var
-	}{
-		{"requests_total", &m.requests},
-		{"errors_total", &m.errors},
-		{"cache_hits", &m.cacheHits},
-		{"cache_misses", &m.cacheMisses},
-		{"cache_bytes", &cacheBytes},
-		{"in_flight", &m.inFlight},
-		{"endpoints", &m.endpoints},
-		{"xval_passes", &xvalPasses},
-		{"xval", rawVar(xvalDoc)},
-	}
-	if m.sloJSON != nil {
-		vars = append(vars, struct {
-			name string
-			v    expvar.Var
-		}{"slo", rawVar(m.sloJSON())})
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "{\n")
-	for i, kv := range vars {
-		if i > 0 {
-			fmt.Fprintf(&buf, ",\n")
+	doc = append(doc, entry{"xval_passes", strconv.FormatInt(passes, 10)}, entry{"xval", string(xvalDoc)})
+
+	if m.slo != nil {
+		slos, err := json.Marshal(m.slo())
+		if err != nil {
+			slos = []byte("[]") // sloStatus cannot fail to marshal
 		}
-		fmt.Fprintf(&buf, "%q: %s", kv.name, kv.v.String())
+		doc = append(doc, entry{"slo", string(slos)})
 	}
-	fmt.Fprintf(&buf, "\n}\n")
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client left
+
+	sort.Slice(doc, func(i, j int) bool { return doc[i].name < doc[j].name })
+	var buf bytes.Buffer
+	buf.WriteString("{\n")
+	for i, e := range doc {
+		if i > 0 {
+			buf.WriteString(",\n")
+		}
+		fmt.Fprintf(&buf, "%q: %s", e.name, e.value)
+	}
+	buf.WriteString("\n}\n")
+	return buf.Bytes()
 }

@@ -10,8 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -29,9 +27,9 @@ import (
 // goroutine writes each field before the handler returns, and withObs
 // reads only after ServeHTTP returns, so no locking is needed.
 type reqInfo struct {
-	endpoint string // instrumented route, e.g. "/v1/sweep"
-	key      string // canonical-request key hash (fnv64a hex)
-	cache    string // response-memo outcome: "hit" or "miss"
+	endpoint *endpointStats // instrumented route's instruments; nil off-route
+	key      string         // canonical-request key hash (fnv64a hex)
+	cache    string         // response-memo outcome: "hit" or "miss"
 }
 
 type reqInfoKeyType struct{}
@@ -81,20 +79,18 @@ func endpointSeries(route string) string {
 }
 
 // registerSeries wires every metrics-history series: the Go runtime
-// collector, the service-level counters and gauges, the engine
+// collector, every scalar, two derived service series, the engine
 // instruments, and one p50/p99/count/requests/errors group per
-// registered endpoint. Runs once in New after the routes (and thus
-// the endpoint maps) exist.
+// endpoint in route order. Runs once in New after the routes exist.
 func (s *Server) registerSeries() {
 	h := s.history
 	obs.RegisterRuntimeSeries(h)
 
-	h.Register("requests_total", func() float64 { return float64(s.metrics.requests.Value()) })
-	h.Register("errors_total", func() float64 { return float64(s.metrics.errors.Value()) })
-	h.Register("in_flight", func() float64 { return float64(s.metrics.inFlight.Value()) })
-	h.Register("cache_bytes", func() float64 { return float64(s.cache.Bytes()) })
+	for _, sc := range s.metrics.scalars() {
+		h.Register(sc.name, func() float64 { return float64(sc.value()) })
+	}
 	h.Register("memo_hit_ratio", func() float64 {
-		hits, misses := s.metrics.cacheHits.Value(), s.metrics.cacheMisses.Value()
+		hits, misses := s.metrics.cacheHits.Load(), s.metrics.cacheMisses.Load()
 		if hits+misses == 0 {
 			return 0
 		}
@@ -117,30 +113,13 @@ func (s *Server) registerSeries() {
 	h.RegisterCounter(s.stats.MemoMiss)
 	h.RegisterCounter(s.stats.MemoShared)
 
-	// Per-endpoint groups. Routes are fixed at construction, so the
-	// duration map is complete by the time this runs; names are
-	// computed, which the metricreg analyzer deliberately skips (it
-	// checks constant registrations only).
-	s.metrics.durationsMu.Lock()
-	routes := make([]string, 0, len(s.metrics.durations))
-	for name := range s.metrics.durations {
-		routes = append(routes, name)
-	}
-	s.metrics.durationsMu.Unlock()
-	for _, route := range routes {
-		route := route
-		prefix := endpointSeries(route)
-		hist := s.metrics.duration(route)
-		ep := s.metrics.endpointVars(route)
-		h.Register(prefix+"_p50_ns", func() float64 { return float64(hist.Quantile(0.5).Nanoseconds()) })
-		h.Register(prefix+"_p99_ns", func() float64 { return float64(hist.Quantile(0.99).Nanoseconds()) })
-		h.Register(prefix+"_count", func() float64 { return float64(hist.Count()) })
-		h.Register(prefix+"_requests", func() float64 {
-			return float64(ep.Get("requests").(*expvar.Int).Value())
-		})
-		h.Register(prefix+"_errors", func() float64 {
-			return float64(ep.Get("errors").(*expvar.Int).Value())
-		})
+	for _, ep := range s.metrics.endpoints {
+		prefix := endpointSeries(ep.route)
+		h.Register(prefix+"_p50_ns", func() float64 { return float64(ep.duration.Quantile(0.5).Nanoseconds()) })
+		h.Register(prefix+"_p99_ns", func() float64 { return float64(ep.duration.Quantile(0.99).Nanoseconds()) })
+		h.Register(prefix+"_count", func() float64 { return float64(ep.duration.Count()) })
+		h.Register(prefix+"_requests", func() float64 { return float64(ep.requests.Load()) })
+		h.Register(prefix+"_errors", func() float64 { return float64(ep.errors.Load()) })
 	}
 }
 
@@ -217,25 +196,6 @@ func (s *Server) sloStatuses(now time.Time) []sloStatus {
 	return out
 }
 
-// sloDoc renders the burn-rate state as the raw JSON value embedded in
-// the expvar /metrics document.
-func (s *Server) sloDoc(now time.Time) []byte {
-	data, err := json.Marshal(s.sloStatuses(now))
-	if err != nil {
-		return []byte("[]") // sloStatus cannot fail to marshal
-	}
-	return data
-}
-
-// writeSLOProm appends the tradeoffd_slo_* gauge blocks to the
-// Prometheus exposition: burn rates labeled by endpoint and window,
-// plus each objective's targets and a 0/1 burning flag. Ordering
-// follows the configured SLO list, so fixed state renders fixed bytes
-// (pinned by a golden test).
-func (s *Server) writeSLOProm(buf *bytes.Buffer) {
-	promSLOGauges(buf, s.sloStatuses(s.sloNow()))
-}
-
 // sloNow is the instant the /metrics SLO gauges are scored at: the
 // history's newest tick, so the gauges describe the data the rings
 // hold whatever the wall clock says, or the wall clock before the
@@ -247,9 +207,11 @@ func (s *Server) sloNow() time.Time {
 	return time.Now()
 }
 
-// promSLOGauges writes the SLO gauge blocks for the given statuses —
-// split from writeSLOProm so the golden test can render fixed
-// statuses without a clock.
+// promSLOGauges appends the tradeoffd_slo_* gauge blocks for the
+// given statuses: burn rates labeled by endpoint and window, plus each
+// objective's targets and a 0/1 burning flag. Ordering follows the
+// configured SLO list, so fixed statuses render fixed bytes (pinned by
+// a golden test).
 func promSLOGauges(buf *bytes.Buffer, sts []sloStatus) {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 

@@ -4,11 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,6 +61,76 @@ func TestHistoryEndpointGolden(t *testing.T) {
 	}
 	if string(body) != string(want) {
 		t.Fatalf("history JSON differs from golden\ngot:\n%s\nwant:\n%s", body, want)
+	}
+}
+
+// TestHistorySeriesRouteOrder pins the per-endpoint history groups to
+// route order, so Names() — and with it /metrics/history without
+// series= and the dashboard cards — lists series the same way on every
+// construction.
+func TestHistorySeriesRouteOrder(t *testing.T) {
+	var got []string
+	for _, name := range New(Options{}).history.Names() {
+		if route, ok := strings.CutPrefix(name, "endpoint_"); ok && strings.HasSuffix(route, "_p50_ns") {
+			got = append(got, strings.TrimSuffix(route, "_p50_ns"))
+		}
+	}
+	want := []string{"healthz", "v1_optimize", "v1_stall", "v1_sweep", "v1_tradeoff"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("endpoint p50 series in order %v, want %v", got, want)
+	}
+}
+
+// TestSeriesNamingContract checks every series name the service
+// publishes, declared or computed from a route, in the Prometheus
+// exposition (SLO gauges included) and the metrics history: each is
+// lower snake_case, and none repeats within its document.
+func TestSeriesNamingContract(t *testing.T) {
+	slos, err := obs.ParseSLOs("sweep:p99<250ms,err<1%;stall:p99<2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{SLOs: slos})
+	nameRE := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+	rec := httptest.NewRecorder()
+	s.metrics.serveHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	families, series := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name := strings.Fields(typ)[0]
+			if families[name] {
+				t.Errorf("prom family %q declared twice", name)
+			}
+			families[name] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		id := line[:strings.LastIndexByte(line, ' ')] // name{labels}
+		if series[id] {
+			t.Errorf("prom series %q repeats", id)
+		}
+		series[id] = true
+		name, _, _ := strings.Cut(id, "{")
+		if !nameRE.MatchString(name) {
+			t.Errorf("prom series name %q is not snake_case", name)
+		}
+	}
+	if !families["tradeoffd_slo_burning"] {
+		t.Fatalf("SLO gauges missing from the exposition:\n%s", rec.Body.String())
+	}
+
+	seen := map[string]bool{}
+	for _, name := range s.history.Names() {
+		if seen[name] {
+			t.Errorf("history series %q repeats", name)
+		}
+		seen[name] = true
+		if !nameRE.MatchString(name) {
+			t.Errorf("history series name %q is not snake_case", name)
+		}
 	}
 }
 
@@ -127,14 +198,13 @@ func TestSLOLayerLive(t *testing.T) {
 	s := New(Options{SLOs: slos, HistoryInterval: 10 * time.Second, HistoryWindow: time.Hour})
 	// 100 requests, 10 errors (10× the 1% budget), p99 ~16ms (16× the
 	// 1ms target) on /v1/tradeoff.
-	ep := s.metrics.endpointVars("/v1/tradeoff")
-	h := s.metrics.duration("/v1/tradeoff")
+	ep := s.metrics.endpoint("/v1/tradeoff")
 	s.history.Tick(obsBase)
 	for i := 0; i < 100; i++ {
-		h.Observe(16 * time.Millisecond)
+		ep.duration.Observe(16 * time.Millisecond)
 	}
-	ep.Get("requests").(*expvar.Int).Add(100)
-	ep.Get("errors").(*expvar.Int).Add(10)
+	ep.requests.Add(100)
+	ep.errors.Add(10)
 	s.history.Tick(obsBase.Add(10 * time.Second))
 	s.history.Tick(obsBase.Add(20 * time.Second))
 
@@ -174,7 +244,7 @@ func TestSLOLayerLive(t *testing.T) {
 		t.Fatalf("metrics JSON: %v\n%s", err, rec.Body.String())
 	}
 	if len(doc.SLO) != 1 || !doc.SLO[0].Burning {
-		t.Fatalf("expvar slo doc = %+v", doc.SLO)
+		t.Fatalf("JSON slo doc = %+v", doc.SLO)
 	}
 
 	// No SLOs → no slo key in either document.

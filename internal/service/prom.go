@@ -2,10 +2,8 @@ package service
 
 import (
 	"bytes"
-	"expvar"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -17,31 +15,25 @@ import (
 // own serving path.
 var promQuantiles = []float64{0.5, 0.95, 0.99}
 
-// servePrometheus renders the same metric state as the expvar JSON
-// document in Prometheus text exposition format (version 0.0.4):
-// scalar counters and gauges, per-endpoint labeled counters, and the
+// servePrometheus renders the same instruments as the JSON document
+// in Prometheus text exposition format (version 0.0.4): the scalars
+// as counters and gauges, per-endpoint labeled counters, and the
 // duration histograms as summaries with p50/p95/p99. Output ordering
 // is deterministic (endpoints sorted), so a fixed metric state renders
 // fixed bytes — pinned by a golden test.
 func (m *metrics) servePrometheus(w http.ResponseWriter) {
 	var buf bytes.Buffer
 
-	promCounter(&buf, "tradeoffd_requests_total", "Requests accepted across all endpoints.", m.requests.Value())
-	promCounter(&buf, "tradeoffd_errors_total", "Responses with status >= 400.", m.errors.Value())
-	promCounter(&buf, "tradeoffd_cache_hits", "Response-memo hits (cache or shared flight).", m.cacheHits.Value())
-	promCounter(&buf, "tradeoffd_cache_misses", "Response-memo misses.", m.cacheMisses.Value())
-	var cacheBytes int64
-	if m.cacheBytes != nil {
-		cacheBytes = m.cacheBytes()
+	for _, sc := range m.scalars() {
+		sc.writeProm(&buf)
 	}
-	promGauge(&buf, "tradeoffd_cache_bytes", "Bytes held by the response memo.", cacheBytes)
-	promGauge(&buf, "tradeoffd_in_flight", "Requests currently being served.", m.inFlight.Value())
 
 	// Continuous cross-validation: pass counter plus the latest
 	// per-workload hit-ratio error of the analytic model against the
 	// exact MRC tier, next to the committed epsilon budget.
 	passes, xvalNames, xvalSamples := m.xvalSnapshot()
-	promCounter(&buf, "tradeoffd_xval_passes_total", "Cross-validation passes completed by the model-vs-exact loop.", passes)
+	scalar{"xval_passes_total", "Cross-validation passes completed by the model-vs-exact loop.", "counter",
+		func() int64 { return passes }}.writeProm(&buf)
 	for _, g := range []struct {
 		name, help string
 		get        func(xvalSample) float64
@@ -57,32 +49,27 @@ func (m *metrics) servePrometheus(w http.ResponseWriter) {
 		}
 	}
 
-	// Per-endpoint counters, one labeled series per endpoint in sorted
-	// order (expvar.Map.Do iterates sorted keys).
-	for _, counter := range []string{"requests", "errors", "evaluations"} {
-		fmt.Fprintf(&buf, "# TYPE tradeoffd_endpoint_%s counter\n", counter)
-		m.endpoints.Do(func(kv expvar.KeyValue) {
-			v := kv.Value.(*expvar.Map).Get(counter).(*expvar.Int).Value()
-			fmt.Fprintf(&buf, "tradeoffd_endpoint_%s{endpoint=%q} %d\n", counter, kv.Key, v)
-		})
+	// Per-endpoint counters, one labeled series per endpoint in route
+	// order.
+	for _, c := range []struct {
+		name string
+		get  func(*endpointStats) int64
+	}{
+		{"requests", func(ep *endpointStats) int64 { return ep.requests.Load() }},
+		{"errors", func(ep *endpointStats) int64 { return ep.errors.Load() }},
+		{"evaluations", func(ep *endpointStats) int64 { return ep.evaluations.Load() }},
+	} {
+		fmt.Fprintf(&buf, "# TYPE tradeoffd_endpoint_%s counter\n", c.name)
+		for _, ep := range m.endpoints {
+			fmt.Fprintf(&buf, "tradeoffd_endpoint_%s{endpoint=%q} %d\n", c.name, ep.route, c.get(ep))
+		}
 	}
 
 	// Request durations: one summary per endpoint.
-	m.durationsMu.Lock()
-	names := make([]string, 0, len(m.durations))
-	for name := range m.durations {
-		names = append(names, name)
-	}
-	hists := make([]*obs.Histogram, len(names))
-	sort.Strings(names)
-	for i, name := range names {
-		hists[i] = m.durations[name]
-	}
-	m.durationsMu.Unlock()
 	buf.WriteString("# HELP tradeoffd_request_duration_seconds Request duration by endpoint.\n")
 	buf.WriteString("# TYPE tradeoffd_request_duration_seconds summary\n")
-	for i, name := range names {
-		promSummarySeries(&buf, "tradeoffd_request_duration_seconds", fmt.Sprintf("endpoint=%q", name), hists[i])
+	for _, ep := range m.endpoints {
+		promSummarySeries(&buf, "tradeoffd_request_duration_seconds", fmt.Sprintf("endpoint=%q", ep.route), ep.duration)
 	}
 
 	// Engine-level instruments: where parallel evaluation time goes.
@@ -90,29 +77,26 @@ func (m *metrics) servePrometheus(w http.ResponseWriter) {
 		promHistogramSummary(&buf, st.Eval)
 		promHistogramSummary(&buf, st.QueueWait)
 		for _, c := range []*obs.Counter{st.MemoHit, st.MemoMiss, st.MemoShared} {
-			promCounter(&buf, "tradeoffd_"+c.Name(), "Engine memoization outcome count.", c.Value())
+			scalar{c.Name(), "Engine memoization outcome count.", "counter", c.Value}.writeProm(&buf)
 		}
 	}
 
-	// SLO burn-rate gauges — appended after every pre-existing block
-	// and only when objectives are configured, so the default document
-	// stays byte-identical to a server without an SLO layer.
-	if m.sloProm != nil {
-		m.sloProm(&buf)
+	// SLO burn-rate gauges — appended after every other block and only
+	// when objectives are configured, so the default document stays
+	// byte-identical to a server without an SLO layer.
+	if m.slo != nil {
+		promSLOGauges(&buf, m.slo())
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client left
 }
 
-// promCounter writes one unlabeled counter with its TYPE header.
-func promCounter(buf *bytes.Buffer, name, help string, v int64) {
-	fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-// promGauge writes one unlabeled gauge with its TYPE header.
-func promGauge(buf *bytes.Buffer, name, help string, v int64) {
-	fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+// writeProm writes the scalar as one unlabeled tradeoffd_ series with
+// its HELP and TYPE header.
+func (sc scalar) writeProm(buf *bytes.Buffer) {
+	fmt.Fprintf(buf, "# HELP tradeoffd_%[1]s %[2]s\n# TYPE tradeoffd_%[1]s %[3]s\ntradeoffd_%[1]s %[4]d\n",
+		sc.name, sc.help, sc.kind, sc.value())
 }
 
 // promHistogramSummary writes an unlabeled duration histogram as a

@@ -24,11 +24,14 @@
 //	                   the (delay, area, pins) Pareto frontier flagged
 //	                   → JSON or CSV
 //	GET  /healthz      liveness probe
-//	GET  /metrics      expvar counters: requests, errors, cache
+//	GET  /metrics      JSON counters: requests, errors, cache
 //	                   hits/misses/bytes, in-flight, per-endpoint
 //	                   latency and evaluation counts; ?format=prom
 //	                   renders the same state as Prometheus text with
-//	                   p50/p95/p99 request-duration quantiles
+//	                   p50/p95/p99 request-duration quantiles. Each
+//	                   series is declared once (metrics.go); both
+//	                   formats and the metrics history render from
+//	                   that declaration
 //	GET  /debug/pprof/ net/http/pprof profiling (only with
 //	                   Options.Pprof / tradeoffd -pprof)
 //
@@ -132,7 +135,8 @@ type cachedResponse struct {
 }
 
 // Server is the tradeoffd HTTP service: declarative endpoints over the
-// shared evaluation engines plus a response memo and expvar counters.
+// shared evaluation engines plus a response memo and the /metrics
+// instruments.
 type Server struct {
 	opts    Options
 	mux     *http.ServeMux
@@ -220,8 +224,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/debug/dash", s.handleDash)
 	s.registerSeries()
 	if len(opts.SLOs) > 0 {
-		s.metrics.sloJSON = func() []byte { return s.sloDoc(s.sloNow()) }
-		s.metrics.sloProm = s.writeSLOProm
+		s.metrics.slo = func() []sloStatus { return s.sloStatuses(s.sloNow()) }
 	}
 	if opts.Pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -303,8 +306,8 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 					"bytes", sw.bytes,
 					"request_id", id,
 				}
-				if ri.endpoint != "" {
-					kv = append(kv, "endpoint", ri.endpoint)
+				if ri.endpoint != nil {
+					kv = append(kv, "endpoint", ri.endpoint.route)
 				}
 				if ri.cache != "" {
 					kv = append(kv, "cache", ri.cache)
@@ -327,10 +330,10 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 // Observe runs before this outer defer), so the very request that
 // moves the tail is judged against a tail that has seen it.
 func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start time.Time, dur time.Duration) {
-	if s.exemplars == nil || ri.endpoint == "" {
+	if s.exemplars == nil || ri.endpoint == nil {
 		return
 	}
-	h := s.metrics.duration(ri.endpoint)
+	h := ri.endpoint.duration
 	if h.Count() < slowMinSamples {
 		return
 	}
@@ -340,7 +343,7 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 		return
 	}
 	s.exemplars.Add(obs.Exemplar{
-		Endpoint:    ri.endpoint,
+		Endpoint:    ri.endpoint.route,
 		RequestID:   id,
 		Key:         ri.key,
 		Time:        start,
@@ -351,7 +354,7 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 	})
 	if s.opts.Logger != nil {
 		s.opts.Logger.Warn("slow request pinned",
-			"endpoint", ri.endpoint,
+			"endpoint", ri.endpoint.route,
 			"duration_us", dur.Microseconds(),
 			"p99_us", p99.Microseconds(),
 			"threshold_us", threshold.Microseconds(),
@@ -361,7 +364,7 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 }
 
 // CacheHits returns the memoization hit count (for tests and ops).
-func (s *Server) CacheHits() int64 { return s.metrics.cacheHits.Value() }
+func (s *Server) CacheHits() int64 { return s.metrics.cacheHits.Load() }
 
 // TradeoffRequest is the POST /v1/tradeoff payload. Omitted fields
 // take the same defaults as the tradeoff CLI flags.

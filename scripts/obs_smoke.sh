@@ -66,7 +66,7 @@ curl -fsS "$BASE/debug/slow" | jq -e '.kept >= 0 and (.exemplars | type == "arra
 curl -fsS "$BASE/debug/dash" | grep 'tradeoffd live' >/dev/null
 
 # SLO layer: burn-rate gauges on the Prometheus exposition and the slo
-# document on expvar.
+# key of the JSON document.
 curl -fsS "$BASE/metrics?format=prom" | grep '^tradeoffd_slo_burning' >/dev/null
 curl -fsS "$BASE/metrics" | jq -e '.slo | type == "array" and length == 1' >/dev/null
 
