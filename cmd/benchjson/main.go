@@ -149,7 +149,7 @@ var benchmarks = []struct {
 	{"span_ring_record", func(b *testing.B) {
 		// The flight recorder's per-span cost — the overhead every
 		// completed span pays on the request path.
-		r := obs.NewSpanRing(8192)
+		r := obs.NewBoundedTracer(8192, nil)
 		rec := obs.SpanRecord{Name: "bench", Start: time.Now(), Dur: time.Millisecond, TID: 1}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

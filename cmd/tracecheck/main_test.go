@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"tradeoff/internal/obs"
 )
 
 func write(t *testing.T, body string) string {
@@ -104,5 +109,39 @@ func TestCheckRejectsBadFlightDumps(t *testing.T) {
 ]`)
 	if _, err := check(p, 2); err != nil {
 		t.Fatalf("cross-lane ts ordering rejected: %v", err)
+	}
+}
+
+// TestCheckAcceptsBothTracerExports feeds one obs.Tracer span set
+// through both of its exports — complete "X" events (WriteJSON) and a
+// B/E flight dump (Snapshot + WriteFlight) — and validates each, so
+// both formats of the one span sink are pinned without a live server.
+func TestCheckAcceptsBothTracerExports(t *testing.T) {
+	tr := obs.NewTracer()
+	ctx, req := obs.StartSpan(obs.WithTracer(context.Background(), tr), "request")
+	req.SetArg("request_id", "0123456789abcdef")
+	for slot := 1; slot <= 3; slot++ {
+		pctx, point := obs.StartSpan(ctx, "sweep_point")
+		point.SetTID(slot)
+		_, memo := obs.StartSpan(pctx, "memo")
+		memo.SetArg("queue_wait_us", 0.5)
+		memo.End()
+		point.End()
+	}
+	req.End()
+	const spans = 7
+
+	var complete, flight bytes.Buffer
+	if err := tr.WriteJSON(&complete); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteFlight(&flight, tr.Snapshot(time.Time{}), tr.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"WriteJSON": complete.String(), "WriteFlight": flight.String()} {
+		n, err := check(write(t, body), spans)
+		if err != nil || n != spans {
+			t.Errorf("%s export: n=%d err=%v, want %d spans\n%s", name, n, err, spans, body)
+		}
 	}
 }

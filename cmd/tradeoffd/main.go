@@ -13,7 +13,6 @@
 //
 //	tradeoffd [-addr :8080] [-workers 0] [-cache 256] [-cache-mb 32] [-drain 10s]
 //	          [-log-level info] [-pprof] [-xval 0]
-//	          [-flight-spans 8192] [-slow-factor 8] [-slow-keep 16]
 //	          [-history-interval 10s] [-history-window 1h] [-slo ""]
 //
 // Sweeps run on the shared engine.Map worker pool and stall grids on
@@ -39,16 +38,15 @@
 // (interval 0) since it burns a few milliseconds of CPU per pass.
 //
 // The always-on observability tier needs no flags: the flight
-// recorder keeps the last -flight-spans completed spans (dump a
-// window as Chrome trace_event JSON with GET /debug/flight?last=30s;
-// -flight-spans -1 disables it), tail-based sampling pins requests
-// slower than -slow-factor × their endpoint's rolling p99 (full span
-// tree under GET /debug/slow, at most -slow-keep retained), and every
-// /metrics series plus the Go runtime gauges is snapshotted each
-// -history-interval into in-memory rings holding -history-window
-// (served by GET /metrics/history?series=...&window=...; live
-// sparkline dashboard at GET /debug/dash). -slo attaches per-endpoint
-// objectives, e.g.
+// recorder keeps the newest 8192 completed spans (dump a window as
+// Chrome trace_event JSON with GET /debug/flight?last=30s), tail-based
+// sampling pins requests slower than 8 × their endpoint's rolling p99
+// (the newest 512 spans of each under GET /debug/slow, the newest 16
+// requests retained), and every /metrics series plus the Go runtime
+// gauges is snapshotted each -history-interval into in-memory rings
+// holding -history-window (served by GET
+// /metrics/history?series=...&window=...; live sparkline dashboard at
+// GET /debug/dash). -slo attaches per-endpoint objectives, e.g.
 //
 //	-slo 'sweep:p99<250ms,err<1%;stall:p99<2s'
 //
@@ -105,9 +103,6 @@ func main() {
 	flag.StringVar(&cfg.level, "log-level", "info", "log verbosity: debug, info, warn, error")
 	flag.BoolVar(&cfg.opts.Pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.DurationVar(&cfg.xval, "xval", 0, "model cross-validation interval (0 = off)")
-	flag.IntVar(&cfg.opts.FlightSpans, "flight-spans", 0, "flight-recorder span ring capacity (0 = default 8192, negative = off)")
-	flag.Float64Var(&cfg.opts.SlowFactor, "slow-factor", 0, "pin requests slower than this multiple of their endpoint's rolling p99 (0 = default 8)")
-	flag.IntVar(&cfg.opts.SlowKeep, "slow-keep", 0, "slow-request exemplars retained, oldest evicted first (0 = default 16, negative = off)")
 	flag.DurationVar(&cfg.opts.HistoryInterval, "history-interval", 0, "metrics-history snapshot cadence (0 = default 10s)")
 	flag.DurationVar(&cfg.opts.HistoryWindow, "history-window", 0, "metrics-history retention per series (0 = default 1h)")
 	flag.StringVar(&cfg.slo, "slo", "", "per-endpoint objectives, e.g. 'sweep:p99<250ms,err<1%;stall:p99<2s'")

@@ -1,111 +1,16 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
-
-// SpanRecord is one completed span as the flight recorder keeps it:
-// absolute wall-clock start (so dumps can be windowed with ?last=30s),
-// duration, the lane the tracer assigned, and the span args. Records
-// are value types — recording one is a struct copy under a single
-// uncontended mutex, cheap enough to leave on for every request.
-type SpanRecord struct {
-	Name  string
-	Start time.Time
-	Dur   time.Duration
-	TID   int
-	Args  map[string]any
-}
-
-// End returns the span's completion time.
-func (r SpanRecord) End() time.Time { return r.Start.Add(r.Dur) }
-
-// SpanRing is the always-on flight recorder: a bounded ring of the
-// most recently completed spans. Record overwrites the oldest entry
-// once the ring is full, so memory is fixed at capacity × record size
-// no matter how long the process runs; Snapshot copies out the spans
-// that ended inside a trailing window for an on-demand dump.
-//
-// A SpanRing is safe for concurrent use. The critical sections are a
-// slot copy (Record) and a linear scan-copy (Snapshot); writers are
-// never blocked on JSON encoding or I/O.
-type SpanRing struct {
-	mu       sync.Mutex
-	recs     []SpanRecord
-	next     int   // next write slot
-	recorded int64 // total Records ever, for drop accounting
-}
-
-// NewSpanRing returns a ring holding the last capacity spans
-// (minimum 16).
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &SpanRing{recs: make([]SpanRecord, 0, capacity)}
-}
-
-// Cap returns the ring's fixed capacity.
-func (r *SpanRing) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return cap(r.recs)
-}
-
-// Recorded returns the total number of spans ever recorded; recorded
-// minus min(recorded, cap) spans have been overwritten.
-func (r *SpanRing) Recorded() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recorded
-}
-
-// Record stores one completed span, overwriting the oldest once full.
-func (r *SpanRing) Record(rec SpanRecord) {
-	r.mu.Lock()
-	if len(r.recs) < cap(r.recs) {
-		r.recs = append(r.recs, rec)
-	} else {
-		r.recs[r.next] = rec
-	}
-	r.next++
-	if r.next == cap(r.recs) {
-		r.next = 0
-	}
-	r.recorded++
-	r.mu.Unlock()
-}
-
-// Snapshot returns copies of the retained spans that ended at or
-// after since, sorted by start time (ties: longer span first, so an
-// enclosing span precedes the spans it contains).
-func (r *SpanRing) Snapshot(since time.Time) []SpanRecord {
-	r.mu.Lock()
-	out := make([]SpanRecord, 0, len(r.recs))
-	for _, rec := range r.recs {
-		if !rec.End().Before(since) {
-			out = append(out, rec)
-		}
-	}
-	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].Dur > out[j].Dur
-	})
-	return out
-}
 
 // flightEvent is one B or E trace_event record of a flight dump.
 // Unlike the -trace exporter's complete "X" events, dumps use
 // begin/end pairs so validators (cmd/tracecheck) can check balance
-// and per-lane monotonicity — exactly the properties a ring that
-// overwrites oldest spans could silently lose.
+// and per-lane monotonicity — exactly the properties a bounded store
+// that overwrites its oldest records could silently lose.
 type flightEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -192,24 +97,7 @@ func WriteFlight(w io.Writer, recs []SpanRecord, epoch time.Time) error {
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if i == len(events)-1 {
-			sep = "\n"
-		}
-		if _, err := w.Write(append(data, sep...)); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]\n")
-	return err
+	return writeEvents(w, events)
 }
 
 // usSince returns t in microseconds relative to epoch, clamped at 0.

@@ -21,13 +21,13 @@ func rec(name string, startUS, durUS int64, tid int) SpanRecord {
 	}
 }
 
-func TestSpanRingOverwritesOldest(t *testing.T) {
-	r := NewSpanRing(16)
+func TestBoundedTracerOverwritesOldest(t *testing.T) {
+	r := NewBoundedTracer(16, nil)
 	for i := 0; i < 40; i++ {
 		r.Record(rec(fmt.Sprintf("s%d", i), int64(i)*10, 5, 0))
 	}
-	if got := r.Recorded(); got != 40 {
-		t.Fatalf("Recorded() = %d, want 40", got)
+	if got := r.Len(); got != 16 {
+		t.Fatalf("Len() = %d, want the bound 16", got)
 	}
 	snap := r.Snapshot(time.Time{})
 	if len(snap) != 16 {
@@ -39,8 +39,8 @@ func TestSpanRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestSpanRingSnapshotWindow(t *testing.T) {
-	r := NewSpanRing(64)
+func TestTracerSnapshotWindow(t *testing.T) {
+	r := NewTracer()
 	r.Record(rec("old", 0, 10, 0))
 	r.Record(rec("recent", 100, 10, 0))
 	since := t0.Add(50 * time.Microsecond)
@@ -50,8 +50,8 @@ func TestSpanRingSnapshotWindow(t *testing.T) {
 	}
 }
 
-func TestSpanRingSnapshotOrder(t *testing.T) {
-	r := NewSpanRing(16)
+func TestTracerSnapshotOrder(t *testing.T) {
+	r := NewTracer()
 	r.Record(rec("child", 10, 5, 0))
 	r.Record(rec("parent", 10, 50, 0))
 	r.Record(rec("first", 0, 5, 0))
@@ -121,7 +121,7 @@ func flightLaneCheck(t *testing.T, dump []byte) (spans int) {
 }
 
 func TestWriteFlightBalancedAndMonotonic(t *testing.T) {
-	r := NewSpanRing(64)
+	r := NewTracer()
 	// Two overlapping "requests" that both recorded on lane 0, each
 	// with a nested child — the shape that forces lane re-assignment.
 	r.Record(rec("child_a", 10, 20, 0))
@@ -142,7 +142,7 @@ func TestWriteFlightBalancedAndMonotonic(t *testing.T) {
 }
 
 func TestWriteFlightKeepsOriginalLaneArg(t *testing.T) {
-	r := NewSpanRing(16)
+	r := NewTracer()
 	r.Record(rec("s", 0, 10, 7))
 	var buf bytes.Buffer
 	if err := WriteFlight(&buf, r.Snapshot(time.Time{}), t0); err != nil {
@@ -171,11 +171,11 @@ func TestWriteFlightEmpty(t *testing.T) {
 	}
 }
 
-// TestSpanRingConcurrentRecordAndDump is the -race test for the
+// TestRecorderConcurrentRecordAndDump is the -race test for the
 // recorder's core claim: writers are never blocked on (or racing
 // with) a concurrent dump.
-func TestSpanRingConcurrentRecordAndDump(t *testing.T) {
-	r := NewSpanRing(128)
+func TestRecorderConcurrentRecordAndDump(t *testing.T) {
+	r := NewBoundedTracer(128, nil)
 	const writers, perWriter = 4, 500
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -206,34 +206,33 @@ func TestSpanRingConcurrentRecordAndDump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.Recorded(); got != writers*perWriter {
-		t.Fatalf("Recorded() = %d, want %d", got, writers*perWriter)
+	if got := r.Len(); got != 128 {
+		t.Fatalf("Len() = %d, want the bound 128 after %d records", got, writers*perWriter)
 	}
 }
 
 // TestTracerTeesIntoRing pins the recorder seam: spans completed on a
-// request tracer land in the global ring, and the per-request event
-// limit drops locally without losing ring records.
+// request tracer are all forwarded into the recorder, while the
+// request's own bounded store keeps only the newest — so the root
+// span, which ends last, always survives.
 func TestTracerTeesIntoRing(t *testing.T) {
-	ring := NewSpanRing(64)
-	tr := NewRequestTracer(ring, 2)
+	recorder := NewTracer()
+	tr := NewBoundedTracer(2, recorder)
+	tr.now = fixedClock(tr.epoch, time.Microsecond)
 	for i := 0; i < 5; i++ {
 		s := &Span{tracer: tr, name: fmt.Sprintf("s%d", i), start: tr.now()}
 		s.End()
 	}
-	if got := ring.Recorded(); got != 5 {
-		t.Fatalf("ring recorded %d spans, want all 5", got)
+	if got := recorder.Len(); got != 5 {
+		t.Fatalf("recorder holds %d spans, want all 5", got)
 	}
-	if got := tr.Len(); got != 2 {
-		t.Fatalf("tracer kept %d events, want limit 2", got)
-	}
-	if got := tr.Dropped(); got != 3 {
-		t.Fatalf("tracer dropped %d events, want 3", got)
+	if got := names(tr.Snapshot(time.Time{})); len(got) != 2 || got[0] != "s3" || got[1] != "s4" {
+		t.Fatalf("request tracer kept %v, want the newest [s3 s4]", got)
 	}
 }
 
-func BenchmarkSpanRingRecord(b *testing.B) {
-	r := NewSpanRing(8192)
+func BenchmarkRecorderRecord(b *testing.B) {
+	r := NewBoundedTracer(8192, nil)
 	rec := SpanRecord{Name: "bench", Start: time.Now(), Dur: time.Millisecond, TID: 1}
 	b.ReportAllocs()
 	b.ResetTimer()

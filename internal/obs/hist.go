@@ -59,9 +59,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(v)].Add(1)
 }
 
-// ObserveSince records the elapsed time since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start)) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -1,7 +1,8 @@
 // Package obs is the repo's dependency-free observability core:
 // context-propagated tracing spans exportable as Chrome trace_event
 // JSON, lock-cheap log-bucketed latency histograms with quantile
-// estimation, a leveled key=value logger, and request-ID plumbing.
+// estimation, a leveled key=value logger, and request-ID generation
+// and validation.
 //
 // The package deliberately depends on nothing but the standard
 // library, so every layer — internal/engine, internal/service, the
@@ -16,8 +17,6 @@
 //
 //	ctx = obs.WithTracer(ctx, tracer)     // spans (nil-safe when absent)
 //	ctx = obs.WithEngineStats(ctx, st)    // engine histograms/counters
-//	ctx = obs.WithLogger(ctx, logger)     // structured logging
-//	ctx = obs.WithRequestID(ctx, id)      // request correlation
 package obs
 
 import (
@@ -34,8 +33,6 @@ const (
 	spanKey
 	spanNameKey
 	engineStatsKey
-	loggerKey
-	requestIDKey
 )
 
 // WithTracer returns a context whose engine jobs and explicit
@@ -83,30 +80,6 @@ func WithEngineStats(ctx context.Context, st *EngineStats) context.Context {
 func EngineStatsFrom(ctx context.Context) *EngineStats {
 	st, _ := ctx.Value(engineStatsKey).(*EngineStats)
 	return st
-}
-
-// WithLogger returns a context carrying l.
-func WithLogger(ctx context.Context, l *Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
-}
-
-// LoggerFrom returns the context's Logger. The zero return is nil,
-// which every Logger method accepts as "logging off".
-func LoggerFrom(ctx context.Context) *Logger {
-	l, _ := ctx.Value(loggerKey).(*Logger)
-	return l
-}
-
-// WithRequestID returns a context carrying the request's correlation
-// ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
-}
-
-// RequestIDFrom returns the context's request ID, or "".
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
 }
 
 // NewRequestID returns a fresh 16-hex-digit request ID.

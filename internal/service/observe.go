@@ -309,10 +309,6 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if s.ring == nil {
-		httpError(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
 	last := 30 * time.Second
 	if q := r.URL.Query().Get("last"); q != "" {
 		d, err := time.ParseDuration(q)
@@ -324,7 +320,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// A failed write means the client left mid-dump.
-	_ = obs.WriteFlight(w, s.ring.Snapshot(time.Now().Add(-last)), s.epoch)
+	_ = obs.WriteFlight(w, s.recorder.Snapshot(time.Now().Add(-last)), s.recorder.Epoch())
 }
 
 // slowResponse is the GET /debug/slow JSON shape.
@@ -340,10 +336,6 @@ type slowResponse struct {
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	if s.exemplars == nil {
-		httpError(w, http.StatusNotFound, "exemplar capture disabled")
 		return
 	}
 	ex := s.exemplars.Snapshot()

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -325,31 +326,17 @@ func TestFlightEndpoint(t *testing.T) {
 	if resp, _ := get(t, ts.URL+"/debug/flight?last=banana"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad last: status %d, want 400", resp.StatusCode)
 	}
-
-	off := httptest.NewServer(New(Options{FlightSpans: -1}).Handler())
-	t.Cleanup(off.Close)
-	if resp, _ := get(t, off.URL+"/debug/flight"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled recorder: status %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := get(t, off.URL+"/debug/slow"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled exemplars: status %d, want 404", resp.StatusCode)
-	}
 }
 
 // TestSlowExemplarCapture makes the tail threshold trivially low so a
 // warm endpoint's next request pins an exemplar, then checks
 // /debug/slow serves it with its span tree.
 func TestSlowExemplarCapture(t *testing.T) {
-	s := New(Options{SlowFactor: 1e-9})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	// Warm past slowMinSamples so the rolling p99 is trusted, then one
-	// more request over the (absurdly low) threshold.
-	for i := 0; i < slowMinSamples+1; i++ {
-		resp, _ := get(t, ts.URL+"/healthz")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("healthz status %d", resp.StatusCode)
-		}
+	s, ts := newTestServer(t)
+	seedFastTail(s, "/healthz")
+	resp, _ := get(t, ts.URL+"/healthz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 	if s.exemplars.Captured() == 0 {
 		t.Fatal("no exemplar captured past the warmup gate")
@@ -375,6 +362,71 @@ func TestSlowExemplarCapture(t *testing.T) {
 	var spans []map[string]any
 	if err := json.Unmarshal(ex.Spans, &spans); err != nil || len(spans) == 0 {
 		t.Fatalf("exemplar spans invalid (err %v): %s", err, ex.Spans)
+	}
+}
+
+// seedFastTail fills route's duration histogram with 1 ns
+// observations, well past slowMinSamples, so its rolling p99 sits so
+// far below any real request that the route's next request is pinned
+// as an exemplar.
+func seedFastTail(s *Server, route string) {
+	h := s.metrics.endpoint(route).duration
+	for i := 0; i < 10000; i++ {
+		h.Observe(time.Nanosecond)
+	}
+}
+
+// TestExemplarKeepsRootSpan pins the exemplar of a request with more
+// spans than a request's span tree retains: the root "request" span
+// ends last, so a keep-newest bound must still hold it, with the path,
+// request ID and status that identify the request.
+func TestExemplarKeepsRootSpan(t *testing.T) {
+	s, ts := newTestServer(t)
+	seedFastTail(s, "/v1/sweep")
+	// 20 × 4 × 8 = 640 model-priced points, one sweep_point span each.
+	cacheKB := make([]string, 20)
+	for i := range cacheKB {
+		cacheKB[i] = strconv.Itoa(4 * (i + 1))
+	}
+	cfg := `{"cache_kb":[` + strings.Join(cacheKB, ",") + `],"line_bytes":[8,16,32,64],
+		"bus_bits":[8,16,24,32,40,48,56,64],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,
+		"hit_source":"model"}`
+	resp, body := post(t, ts.URL+"/v1/sweep", cfg)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	ex := s.exemplars.Snapshot()
+	if len(ex) != 1 {
+		t.Fatalf("%d exemplars, want the sweep pinned once", len(ex))
+	}
+	var spans []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(ex[0].Spans, &spans); err != nil {
+		t.Fatalf("exemplar spans: %v", err)
+	}
+	if len(spans) != requestSpanLimit {
+		t.Fatalf("exemplar holds %d spans, want the bound %d (the sweep has more)", len(spans), requestSpanLimit)
+	}
+	var roots []map[string]any
+	for _, sp := range spans {
+		if sp.Name == "request" {
+			roots = append(roots, sp.Args)
+		}
+	}
+	if len(roots) != 1 {
+		t.Fatalf("exemplar holds %d request spans, want 1", len(roots))
+	}
+	want := map[string]any{
+		"path":       "/v1/sweep",
+		"request_id": resp.Header.Get("X-Request-ID"),
+		"status":     float64(http.StatusOK),
+	}
+	for k, v := range want {
+		if roots[0][k] != v {
+			t.Errorf("request span arg %s = %v, want %v", k, roots[0][k], v)
+		}
 	}
 }
 

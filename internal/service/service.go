@@ -97,25 +97,13 @@ type Options struct {
 	// simjob.DefaultLimits).
 	StallLimits simjob.Limits
 	// Logger, when non-nil, receives one structured access-log line per
-	// request (method, path, status, duration, request ID) and is
-	// threaded into request contexts for handlers to use.
+	// request (method, path, status, duration, request ID) and the
+	// slow-request and SLO warnings.
 	Logger *obs.Logger
 	// Pprof registers net/http/pprof's profiling endpoints under
 	// /debug/pprof/. Off by default: profiling handlers expose enough
 	// internals that they are opt-in (tradeoffd's -pprof flag).
 	Pprof bool
-	// FlightSpans bounds the always-on flight recorder's span ring
-	// (default 8192; negative disables the recorder entirely, which
-	// also turns off exemplar capture and /debug/flight).
-	FlightSpans int
-	// SlowFactor is the tail-sampling threshold: a request slower than
-	// SlowFactor × its endpoint's rolling p99 pins its full span tree
-	// as an exemplar (default 8; only applies once the endpoint has
-	// seen enough traffic for a meaningful p99).
-	SlowFactor float64
-	// SlowKeep bounds the exemplar store (default 16, oldest evicted
-	// first; negative disables capture).
-	SlowKeep int
 	// HistoryInterval is the metrics-history snapshot cadence (default
 	// 10s) and HistoryWindow the retention per series (default 1h);
 	// together they size the fixed per-series rings.
@@ -147,8 +135,7 @@ type Server struct {
 	curves  *mrc.CurveCache
 
 	// Observability tier 2 (flight recorder, metrics history, SLOs).
-	epoch     time.Time     // flight-dump timestamp origin
-	ring      *obs.SpanRing // nil when the recorder is disabled
+	recorder  *obs.Tracer // newest flightSpans spans of every request
 	exemplars *obs.Exemplars
 	history   *obs.History
 }
@@ -166,15 +153,6 @@ func New(opts Options) *Server {
 	}
 	if opts.StallLimits == (simjob.Limits{}) {
 		opts.StallLimits = simjob.DefaultLimits
-	}
-	if opts.FlightSpans == 0 {
-		opts.FlightSpans = 8192
-	}
-	if opts.SlowFactor <= 0 {
-		opts.SlowFactor = 8
-	}
-	if opts.SlowKeep == 0 {
-		opts.SlowKeep = 16
 	}
 	if opts.HistoryInterval <= 0 {
 		opts.HistoryInterval = 10 * time.Second
@@ -195,17 +173,12 @@ func New(opts Options) *Server {
 		// Miss-ratio curves survive across /v1/sweep requests: 64 curves
 		// (≈ a few sweeps' worth of line sizes) within 64 MiB, profiled
 		// from the runner's trace cache.
-		curves: mrc.NewCurveCacheOn(runner.Traces(), 64, 64<<20),
+		curves:    mrc.NewCurveCacheOn(runner.Traces(), 64, 64<<20),
+		recorder:  obs.NewBoundedTracer(flightSpans, nil),
+		exemplars: obs.NewExemplars(slowKeep),
 	}
 	s.metrics.cacheBytes = s.cache.Bytes
 	s.metrics.engine = s.stats
-	s.epoch = time.Now()
-	if opts.FlightSpans > 0 {
-		s.ring = obs.NewSpanRing(opts.FlightSpans)
-		if opts.SlowKeep > 0 {
-			s.exemplars = obs.NewExemplars(opts.SlowKeep)
-		}
-	}
 	s.history = obs.NewHistory(opts.HistoryInterval, opts.HistoryWindow)
 	s.mux.HandleFunc("/v1/tradeoff", s.metrics.instrument("/v1/tradeoff", handle(s, s.tradeoffEndpoint())))
 	s.mux.HandleFunc("/v1/sweep", s.metrics.instrument("/v1/sweep", handle(s, s.sweepEndpoint())))
@@ -241,29 +214,43 @@ func New(opts Options) *Server {
 // access logging).
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
-// requestSpanLimit bounds a single request's locally retained span
-// tree: enough for any realistic sweep's span set to render in an
-// exemplar, small enough that a pathological request cannot hold
-// megabytes hostage. Spans past the limit still tee into the ring.
-const requestSpanLimit = 512
-
-// slowMinSamples is how much traffic an endpoint must have seen
-// before its rolling p99 is trusted as a tail-sampling threshold; the
-// first requests of a cold endpoint are not outliers, just cold.
-const slowMinSamples = 32
+// The always-on observability tier's fixed sizes.
+const (
+	// flightSpans bounds the flight recorder: the newest spans of all
+	// requests, dumped by GET /debug/flight.
+	flightSpans = 8192
+	// requestSpanLimit bounds a single request's span tree: enough for
+	// any realistic sweep's span set to render in an exemplar, small
+	// enough that a pathological request cannot hold megabytes
+	// hostage. The tree keeps its newest spans, so the root request
+	// span (which ends last) always survives; every span still reaches
+	// the recorder.
+	requestSpanLimit = 512
+	// slowFactor is the tail-sampling threshold: a request slower than
+	// slowFactor × its endpoint's rolling p99 pins its span tree as an
+	// exemplar.
+	slowFactor = 8
+	// slowKeep bounds the exemplar store, oldest evicted first.
+	slowKeep = 16
+	// slowMinSamples is how much traffic an endpoint must have seen
+	// before its rolling p99 is trusted as a tail-sampling threshold;
+	// the first requests of a cold endpoint are not outliers, just
+	// cold.
+	slowMinSamples = 32
+)
 
 // withObs is the outermost middleware. It assigns every request a
 // correlation ID — honoring a well-formed client X-Request-ID,
 // generating one otherwise — echoes it on the response, threads the
-// engine instruments (and the configured logger) into the request
-// context so the worker pools underneath record queue-wait and
-// evaluation time, opens the request's root span on a per-request
-// tracer that tees every completed span into the flight-recorder
-// ring, applies the tail-based exemplar policy, and emits one
-// wide-event access-log line per request when logging is configured —
-// every dimension known at completion (endpoint, status, duration,
-// response bytes, response-memo outcome, canonical-key hash, request
-// ID) on a single line.
+// engine instruments into the request context so the worker pools
+// underneath record queue-wait and evaluation time, opens the
+// request's root span on a per-request tracer that forwards every
+// completed span into the flight recorder, applies the tail-based
+// exemplar policy, and emits one wide-event access-log line per
+// request when logging is configured — every dimension known at
+// completion (endpoint, status, duration, response bytes,
+// response-memo outcome, canonical-key hash, request ID) on a single
+// line.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -272,31 +259,19 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithEngineStats(ctx, s.stats)
-		if s.opts.Logger != nil {
-			ctx = obs.WithLogger(ctx, s.opts.Logger)
-		}
 		ri := &reqInfo{}
-		ctx = withReqInfo(ctx, ri)
-		var tracer *obs.Tracer
-		var span *obs.Span
-		if s.ring != nil {
-			tracer = obs.NewRequestTracer(s.ring, requestSpanLimit)
-			ctx = obs.WithTracer(ctx, tracer)
-			ctx, span = obs.StartSpan(ctx, "request")
-			span.SetArg("path", r.URL.Path)
-			span.SetArg("request_id", id)
-		}
+		tracer := obs.NewBoundedTracer(requestSpanLimit, s.recorder)
+		ctx := withReqInfo(obs.WithEngineStats(r.Context(), s.stats), ri)
+		ctx, span := obs.StartSpan(obs.WithTracer(ctx, tracer), "request")
+		span.SetArg("path", r.URL.Path)
+		span.SetArg("request_id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		defer func() {
 			dur := time.Since(start)
 			span.SetArg("status", sw.status)
 			span.End()
-			if tracer != nil {
-				s.captureSlow(ri, id, tracer, start, dur)
-			}
+			s.captureSlow(ri, id, tracer, start, dur)
 			if s.opts.Logger != nil {
 				kv := []any{
 					"method", r.Method,
@@ -324,13 +299,13 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 
 // captureSlow applies the tail-based exemplar policy after a request
 // completes: once the endpoint's duration histogram holds enough
-// samples for a meaningful p99, a request slower than SlowFactor ×
-// that rolling p99 pins its full span tree into the exemplar store.
+// samples for a meaningful p99, a request slower than slowFactor ×
+// that rolling p99 pins its span tree into the exemplar store.
 // The histogram already includes this request (instrument's deferred
 // Observe runs before this outer defer), so the very request that
 // moves the tail is judged against a tail that has seen it.
 func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start time.Time, dur time.Duration) {
-	if s.exemplars == nil || ri.endpoint == nil {
+	if ri.endpoint == nil {
 		return
 	}
 	h := ri.endpoint.duration
@@ -338,7 +313,7 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 		return
 	}
 	p99 := h.Quantile(0.99)
-	threshold := time.Duration(float64(p99) * s.opts.SlowFactor)
+	threshold := p99 * slowFactor
 	if p99 <= 0 || dur <= threshold {
 		return
 	}
