@@ -14,10 +14,10 @@ vet:
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 
 # Full static analysis: go vet + gofmt (the vet target) plus the
-# repo's own nine-analyzer tradeoffvet suite (parameter domains, float
+# repo's own ten-analyzer tradeoffvet suite (parameter domains, float
 # discipline, context propagation, error handling, metric hygiene,
 # span lifecycle, locking discipline, deterministic output order,
-# hot-path allocation budgets).
+# hot-path allocation budgets, unused exports).
 lint: vet
 	$(GO) run ./cmd/tradeoffvet ./...
 

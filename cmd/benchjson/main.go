@@ -164,7 +164,7 @@ var benchmarks = []struct {
 		for i := 0; i < 20; i++ {
 			hist := obs.NewHistogram(fmt.Sprintf("bench_hist_%d", i))
 			hist.Observe(time.Millisecond)
-			h.RegisterHistogram(hist)
+			h.RegisterHistogram(hist.Name(), hist)
 		}
 		now := time.Now()
 		b.ReportAllocs()

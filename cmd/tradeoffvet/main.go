@@ -1,8 +1,10 @@
-// Tradeoffvet is the repo's static-analysis multichecker: nine
+// Tradeoffvet is the repo's static-analysis multichecker: ten
 // analyzers enforcing the paper's parameter domains, float-comparison
 // discipline, context propagation, error handling, metric hygiene,
-// span lifecycle, locking discipline, deterministic output order and
-// hot-path allocation budgets over every non-test package. It is
+// span lifecycle, locking discipline, deterministic output order,
+// hot-path allocation budgets and the absence of unused exports over
+// every non-test package. Nine run package by package; unusedexport
+// runs once over all loaded packages after them. It is
 // self-contained — analyzers are built on the stdlib go/ast+go/types
 // stack (internal/analysis/lint), the flow-sensitive ones on the CFG
 // and solvers in internal/analysis/dataflow, with dependency types
@@ -83,12 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	enc := json.NewEncoder(stdout)
 	exit := 0
-	for _, pkg := range pkgs {
-		findings, err := lint.Run(pkg, suite.Analyzers)
-		if err != nil {
-			_, _ = fmt.Fprintf(stderr, "tradeoffvet: %s: %v\n", pkg.ImportPath, err)
-			exit = 2
-		}
+	// emit prints findings and reports false when one cannot be encoded.
+	emit := func(findings []lint.Finding) bool {
 		for _, f := range findings {
 			if *format == "json" {
 				if err := enc.Encode(jsonFinding{
@@ -99,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					Message:  f.Message,
 				}); err != nil {
 					_, _ = fmt.Fprintf(stderr, "tradeoffvet: encoding finding: %v\n", err)
-					return 2
+					return false
 				}
 			} else {
 				_, _ = fmt.Fprintln(stdout, f)
@@ -108,6 +106,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 				exit = 1
 			}
 		}
+		return true
+	}
+	targets := make([]lint.Target, len(pkgs))
+	for i, pkg := range pkgs {
+		targets[i] = pkg
+		findings, err := lint.Run(pkg, suite.Analyzers)
+		if err != nil {
+			_, _ = fmt.Fprintf(stderr, "tradeoffvet: %s: %v\n", pkg.ImportPath, err)
+			exit = 2
+		}
+		if !emit(findings) {
+			return 2
+		}
+	}
+	findings, err := lint.RunProgram(targets, suite.Analyzers)
+	if err != nil {
+		_, _ = fmt.Fprintf(stderr, "tradeoffvet: %v\n", err)
+		exit = 2
+	}
+	if !emit(findings) {
+		return 2
 	}
 	return exit
 }

@@ -74,8 +74,38 @@ func Matches(a, b float64) bool { return a == b }
 	}
 }
 
+// TestJSONProgramFinding checks that a program-level finding — here an
+// unused export of an internal package — carries the declaring file and
+// position in -format json, the shape CI annotators read.
+func TestJSONProgramFinding(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "go.mod", "module scratch\n\ngo 1.22\n")
+	writeFile(t, dir, "internal/dead/dead.go", `package dead
+
+// Unused has no caller.
+func Unused() {}
+`)
+	chdir(t, dir)
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"-format", "json", "./..."}, &out, &errb); code != 1 {
+		t.Fatalf("run = %d, want 1 (findings); stderr: %s\nstdout: %s", code, errb.String(), out.String())
+	}
+	var f jsonFinding
+	if err := json.Unmarshal(out.Bytes(), &f); err != nil {
+		t.Fatalf("want exactly one JSON finding: %v\n%s", err, out.String())
+	}
+	if f.Analyzer != "unusedexport" || !strings.HasSuffix(f.File, filepath.Join("internal", "dead", "dead.go")) ||
+		f.Line != 4 || f.Col != 6 || !strings.Contains(f.Message, "Unused") {
+		t.Errorf("finding %+v, want unusedexport on Unused at internal/dead/dead.go:4:6", f)
+	}
+}
+
 func writeFile(t *testing.T, dir, name, content string) {
 	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@
 package analysistest
 
 import (
-	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -43,33 +42,52 @@ type expectation struct {
 	hit  bool
 }
 
-// Run loads each fixture package from root/src and applies the
-// analyzer, comparing findings to the // want comments.
+// Run loads the fixture packages from root/src as one program and
+// applies the analyzer, comparing findings to the // want comments. A
+// per-package analyzer sees each path on its own; a program-level one
+// sees all of them together.
+//
+//lint:ignore unusedexport test harness: the analyzer tests run their fixtures through it
 func Run(t *testing.T, root string, a *lint.Analyzer, paths ...string) {
 	t.Helper()
-	for _, path := range paths {
-		pkg, err := load.Fixture(root, path)
+	pkgs, err := load.Fixture(root, paths...)
+	if err != nil {
+		t.Fatalf("loading fixtures %v: %v", paths, err)
+	}
+	analyzers := []*lint.Analyzer{a}
+	targets := make([]lint.Target, len(pkgs))
+	var findings []lint.Finding
+	for i, pkg := range pkgs {
+		targets[i] = pkg
+		got, err := lint.Run(pkg, analyzers)
 		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
+			t.Fatalf("running %s on %s: %v", a.Name, pkg.ImportPath, err)
 		}
-		findings, err := lint.Run(pkg, []*lint.Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, path, err)
+		findings = append(findings, got...)
+	}
+	got, err := lint.RunProgram(targets, analyzers)
+	if err != nil {
+		t.Fatalf("running %s on %v: %v", a.Name, paths, err)
+	}
+	findings = append(findings, got...)
+
+	var expectations []*expectation
+	negatives := map[string]bool{}
+	for _, pkg := range pkgs {
+		collectWants(t, pkg, &expectations, negatives)
+	}
+	for _, f := range findings {
+		if negatives[f.Pos.Filename] {
+			t.Errorf("%s declares `// want:none` but got finding: %s", f.Pos.Filename, f)
+			continue
 		}
-		expectations, negatives := collectWants(t, pkg.Fset, pkg)
-		for _, f := range findings {
-			if negatives[f.Pos.Filename] {
-				t.Errorf("%s declares `// want:none` but got finding: %s", f.Pos.Filename, f)
-				continue
-			}
-			if !claim(expectations, f) {
-				t.Errorf("unexpected finding: %s", f)
-			}
+		if !claim(expectations, f) {
+			t.Errorf("unexpected finding: %s", f)
 		}
-		for _, e := range expectations {
-			if !e.hit {
-				t.Errorf("%s:%d: expected finding matching %q, got none", e.file, e.line, e.re)
-			}
+	}
+	for _, e := range expectations {
+		if !e.hit {
+			t.Errorf("%s:%d: expected finding matching %q, got none", e.file, e.line, e.re)
 		}
 	}
 }
@@ -86,10 +104,11 @@ func claim(exps []*expectation, f lint.Finding) bool {
 	return false
 }
 
-func collectWants(t *testing.T, fset *token.FileSet, pkg *load.Package) ([]*expectation, map[string]bool) {
+// collectWants appends pkg's // want expectations to exps and records
+// its // want:none files in negatives.
+func collectWants(t *testing.T, pkg *load.Package, exps *[]*expectation, negatives map[string]bool) {
 	t.Helper()
-	var exps []*expectation
-	negatives := map[string]bool{}
+	fset := pkg.Fset
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -117,15 +136,14 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *load.Package) ([]*expe
 					if err != nil {
 						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, pattern, err)
 					}
-					exps = append(exps, &expectation{file: pos.Filename, line: pos.Line, re: re})
+					*exps = append(*exps, &expectation{file: pos.Filename, line: pos.Line, re: re})
 				}
 			}
 		}
 	}
-	for _, e := range exps {
+	for _, e := range *exps {
 		if negatives[e.file] {
 			t.Fatalf("%s: file declares `// want:none` but also carries a // want expectation at line %d", e.file, e.line)
 		}
 	}
-	return exps, negatives
 }

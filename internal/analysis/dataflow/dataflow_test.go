@@ -25,10 +25,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the CFG golden fil
 // the solvers — and through them the four flow-sensitive analyzers —
 // can prove, so the structure itself is golden-tested.
 func TestCFGGolden(t *testing.T) {
-	pkg, err := load.Fixture("testdata", "cfgtest")
+	pkgs, err := load.Fixture("testdata", "cfgtest")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
+	pkg := pkgs[0]
 	var sb strings.Builder
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -61,10 +62,11 @@ func TestCFGGolden(t *testing.T) {
 // function: edge symmetry, entry reachability, and that reverse
 // postorder starts at the entry and contains no duplicates.
 func TestGraphInvariants(t *testing.T) {
-	pkg, err := load.Fixture("testdata", "cfgtest")
+	pkgs, err := load.Fixture("testdata", "cfgtest")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
+	pkg := pkgs[0]
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -200,10 +202,11 @@ func TestMustReachExit(t *testing.T) {
 // and the loop's own redefinition; after forLoop's loop, the use in
 // the return must see both as well.
 func TestReachingDefs(t *testing.T) {
-	pkg, err := load.Fixture("testdata", "cfgtest")
+	pkgs, err := load.Fixture("testdata", "cfgtest")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
+	pkg := pkgs[0]
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)

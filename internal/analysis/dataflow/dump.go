@@ -14,6 +14,8 @@ import (
 // own line and the successor list at the end. Unreachable
 // continuation blocks with no nodes and no edges are elided — they
 // are construction artifacts, not structure.
+//
+//lint:ignore unusedexport test harness: TestCFGGolden renders the CFG golden with it
 func (g *Graph) Dump(fset *token.FileSet) string {
 	var sb strings.Builder
 	for _, b := range g.Blocks {

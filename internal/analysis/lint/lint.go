@@ -29,10 +29,13 @@ import (
 // An Analyzer describes one static check. Name must be a unique
 // lowercase identifier (it is what //lint:ignore directives reference);
 // Doc is a mandatory description whose first line summarizes the check.
+// An analyzer sets exactly one of Run, which inspects one package at a
+// time, and RunProgram, which inspects every loaded package at once.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
+	Name       string
+	Doc        string
+	Run        func(*Pass) error
+	RunProgram func(*ProgramPass) error
 }
 
 // A Diagnostic is one finding at a source position.
@@ -60,6 +63,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // TypeOf returns the type of e, or nil if unknown.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.TypesInfo.TypeOf(e) }
 
+// A ProgramPass connects a program-level Analyzer to every package the
+// driver loaded, for checks no single package can decide.
+type ProgramPass struct {
+	Analyzer *Analyzer
+	Packages []Target
+
+	diags []Diagnostic
+}
+
+// Reportf records a finding at pos.
+func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
 // A Finding is a Diagnostic resolved to a position and its analyzer,
 // ready for printing or comparison against test expectations.
 type Finding struct {
@@ -81,16 +98,18 @@ type Target interface {
 	Info() *types.Info
 }
 
-// Run applies every analyzer to the package and returns the surviving
-// findings sorted by position, with //lint:ignore directives applied.
-// Analyzer errors are returned after all analyzers have run.
+// Run applies every per-package analyzer to the package and returns
+// the surviving findings sorted by position, with //lint:ignore
+// directives applied. Analyzer errors are returned after all analyzers
+// have run.
 func Run(pkg Target, analyzers []*Analyzer) ([]Finding, error) {
 	ignores, bad := parseIgnores(pkg.FileSet(), pkg.ASTFiles())
-	var findings []Finding
-	findings = append(findings, bad...)
-
+	findings := bad
 	var firstErr error
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.FileSet(),
@@ -101,14 +120,55 @@ func Run(pkg Target, analyzers []*Analyzer) ([]Finding, error) {
 		if err := a.Run(pass); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", a.Name, err)
 		}
-		for _, d := range pass.diags {
-			pos := pkg.FileSet().Position(d.Pos)
-			if ignores.match(a.Name, pos) {
-				continue
-			}
-			findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+		findings = ignores.keep(findings, a.Name, pkg.FileSet(), pass.diags)
+	}
+	sortFindings(findings)
+	return findings, firstErr
+}
+
+// RunProgram applies every program-level analyzer once to all of pkgs,
+// which must share one FileSet (load.Load's do), and returns the
+// surviving findings like Run. Run already reports malformed
+// directives, so RunProgram does not report them again.
+func RunProgram(pkgs []Target, analyzers []*Analyzer) ([]Finding, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	fset := pkgs[0].FileSet()
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.ASTFiles()...)
+	}
+	ignores, _ := parseIgnores(fset, files)
+	var findings []Finding
+	var firstErr error
+	for _, a := range analyzers {
+		if a.RunProgram == nil {
+			continue
+		}
+		pass := &ProgramPass{Analyzer: a, Packages: pkgs}
+		if err := a.RunProgram(pass); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", a.Name, err)
+		}
+		findings = ignores.keep(findings, a.Name, fset, pass.diags)
+	}
+	sortFindings(findings)
+	return findings, firstErr
+}
+
+// keep appends to findings each of analyzer's diagnostics that no
+// directive suppresses.
+func (s ignoreSet) keep(findings []Finding, analyzer string, fset *token.FileSet, diags []Diagnostic) []Finding {
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		if !s.match(analyzer, pos) {
+			findings = append(findings, Finding{Analyzer: analyzer, Pos: pos, Message: d.Message})
 		}
 	}
+	return findings
+}
+
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -122,7 +182,6 @@ func Run(pkg Target, analyzers []*Analyzer) ([]Finding, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, firstErr
 }
 
 // ignoreSet records, per file, the lines each analyzer is suppressed on.

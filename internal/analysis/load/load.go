@@ -190,12 +190,13 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, goFi
 	}, nil
 }
 
-// Fixture loads testdata fixture packages GOPATH-style: the import path
-// "p" resolves to root/src/p, fixture packages may import each other,
-// and any other import resolves to the standard library via export
-// data. This mirrors x/tools' analysistest layout so golden corpora
-// look the way Go developers expect.
-func Fixture(root, path string) (*Package, error) {
+// Fixture loads testdata fixture packages GOPATH-style, returning one
+// Package per path on one shared FileSet: the import path "p" resolves
+// to root/src/p, fixture packages may import each other, and any other
+// import resolves to the standard library via export data. This
+// mirrors x/tools' analysistest layout so golden corpora look the way
+// Go developers expect.
+func Fixture(root string, paths ...string) ([]*Package, error) {
 	f := &fixtureLoader{
 		root:    root,
 		fset:    token.NewFileSet(),
@@ -205,8 +206,11 @@ func Fixture(root, path string) (*Package, error) {
 	}
 	// Gather the std imports reachable from the fixture tree so one
 	// `go list -export` run covers them all.
-	if err := f.scanStdImports(path, map[string]bool{}); err != nil {
-		return nil, err
+	seen := map[string]bool{}
+	for _, path := range paths {
+		if err := f.scanStdImports(path, seen); err != nil {
+			return nil, err
+		}
 	}
 	if len(f.stdImp) > 0 {
 		roots := make([]string, 0, len(f.stdImp))
@@ -229,7 +233,15 @@ func Fixture(root, path string) (*Package, error) {
 		}
 		f.gc = importer.ForCompiler(f.fset, "gc", exportLookup(f.exports, importMap))
 	}
-	return f.load(path)
+	out := make([]*Package, len(paths))
+	for i, path := range paths {
+		pkg, err := f.load(path)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pkg
+	}
+	return out, nil
 }
 
 type fixtureLoader struct {

@@ -22,7 +22,7 @@
 //
 // which seeds the receiver's named mutex as held at entry. This is
 // the analyzer's epsilon versus the runtime race detector: the
-// directive is trusted, not verified — DESIGN.md §5.7 discusses the
+// directive is trusted, not verified — DESIGN.md §5.3 discusses the
 // tradeoff.
 //
 // Two access sites never count: composite-literal construction, and

@@ -16,12 +16,14 @@ import (
 	"tradeoff/internal/analysis/metricreg"
 	"tradeoff/internal/analysis/paramdomain"
 	"tradeoff/internal/analysis/spanleak"
+	"tradeoff/internal/analysis/unusedexport"
 )
 
 // Analyzers is the full tradeoffvet suite, in the order findings are
 // attributed when several fire on one line. The first five are
-// AST-local; the last four are flow-sensitive, built on the CFG and
-// solvers in internal/analysis/dataflow.
+// AST-local; the next four are flow-sensitive, built on the CFG and
+// solvers in internal/analysis/dataflow; the last, unusedexport, is
+// program-level and sees every loaded package at once.
 var Analyzers = []*lint.Analyzer{
 	paramdomain.Analyzer,
 	floatcmp.Analyzer,
@@ -32,4 +34,5 @@ var Analyzers = []*lint.Analyzer{
 	lockguard.Analyzer,
 	detorder.Analyzer,
 	hotalloc.Analyzer,
+	unusedexport.Analyzer,
 }

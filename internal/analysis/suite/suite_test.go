@@ -14,10 +14,11 @@ var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*$`)
 
 // TestRegistration pins the suite's registration contract: every
 // analyzer has a lowercase unique name, a doc string whose first line
-// summarizes the check, and a Run function.
+// summarizes the check, and exactly one of a per-package Run and a
+// program-level RunProgram function.
 func TestRegistration(t *testing.T) {
-	if len(suite.Analyzers) != 9 {
-		t.Fatalf("suite has %d analyzers, want 9 (paramdomain, floatcmp, ctxflow, errdrop, metricreg, spanleak, lockguard, detorder, hotalloc)", len(suite.Analyzers))
+	if len(suite.Analyzers) != 10 {
+		t.Fatalf("suite has %d analyzers, want 10 (paramdomain, floatcmp, ctxflow, errdrop, metricreg, spanleak, lockguard, detorder, hotalloc, unusedexport)", len(suite.Analyzers))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite.Analyzers {
@@ -33,8 +34,8 @@ func TestRegistration(t *testing.T) {
 		} else if first, _, _ := strings.Cut(a.Doc, "\n"); !strings.HasPrefix(first, "flags ") {
 			t.Errorf("analyzer %s doc %q: first line should summarize what it flags", a.Name, first)
 		}
-		if a.Run == nil {
-			t.Errorf("analyzer %s has no Run function", a.Name)
+		if (a.Run == nil) == (a.RunProgram == nil) {
+			t.Errorf("analyzer %s must set exactly one of Run and RunProgram", a.Name)
 		}
 	}
 }

@@ -89,32 +89,6 @@ func RBE(g CacheGeometry) (float64, error) {
 	return (dataBits+tagBits)*sramBitRBE + lines*lineOverhead, nil
 }
 
-// Overhead returns the fraction of the cache's area spent on tags and
-// per-line control rather than data.
-func Overhead(g CacheGeometry) (float64, error) {
-	total, err := RBE(g)
-	if err != nil {
-		return 0, err
-	}
-	data := float64(g.Size*8) * sramBitRBE
-	return (total - data) / total, nil
-}
-
-// AccessEnergy returns a dimensionless per-access energy proxy for the
-// cache: the square root of its rbe area. Wordline/bitline capacitance
-// grows with the array's linear dimension, so energy per access scales
-// roughly with sqrt(area) — coarse, but like the rbe model itself it
-// is the *ratios* between configurations that drive the tradeoff.
-// "Cache Hierarchy Optimization" (Yavits et al.) prices hierarchy
-// power the same relative way.
-func AccessEnergy(g CacheGeometry) (float64, error) {
-	r, err := RBE(g)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(r), nil
-}
-
 // Pins models the package pins of the processor's external interface:
 // data bus, address bus, and a fixed control group. The paper's
 // tradeoff moves only the data-bus term.

@@ -64,14 +64,16 @@ func TestLargerLinesCutOverhead(t *testing.T) {
 	// Alpert & Flynn: larger lines amortize tags.
 	small := CacheGeometry{Size: 8 << 10, LineSize: 8, Assoc: 2}
 	large := CacheGeometry{Size: 8 << 10, LineSize: 64, Assoc: 2}
-	oSmall, err := Overhead(small)
-	if err != nil {
-		t.Fatal(err)
+	// overhead is the share of the area spent on tags and per-line
+	// control rather than data.
+	overhead := func(g CacheGeometry) float64 {
+		total, err := RBE(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return (total - float64(g.Size*8)*sramBitRBE) / total
 	}
-	oLarge, err := Overhead(large)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oSmall, oLarge := overhead(small), overhead(large)
 	if oLarge >= oSmall {
 		t.Fatalf("64B-line overhead %.3f not below 8B-line overhead %.3f", oLarge, oSmall)
 	}
@@ -83,9 +85,6 @@ func TestLargerLinesCutOverhead(t *testing.T) {
 func TestRBERejectsBadGeometry(t *testing.T) {
 	if _, err := RBE(CacheGeometry{}); err == nil {
 		t.Fatal("zero geometry accepted")
-	}
-	if _, err := Overhead(CacheGeometry{}); err == nil {
-		t.Fatal("Overhead accepted zero geometry")
 	}
 }
 
@@ -144,26 +143,5 @@ func TestRBEMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAccessEnergySublinear(t *testing.T) {
-	small, err := AccessEnergy(g8K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := AccessEnergy(CacheGeometry{Size: 32 << 10, LineSize: 32, Assoc: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big <= small {
-		t.Fatalf("32K energy %g not above 8K energy %g", big, small)
-	}
-	// sqrt scaling: 4x area ≈ 2x access energy, far below linear.
-	if ratio := big / small; ratio < 1.8 || ratio > 2.2 {
-		t.Fatalf("energy ratio %g, want ≈2", ratio)
-	}
-	if _, err := AccessEnergy(CacheGeometry{Size: -1, LineSize: 32}); err == nil {
-		t.Fatal("bad geometry accepted")
 	}
 }

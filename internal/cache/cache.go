@@ -10,7 +10,6 @@
 package cache
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -140,9 +139,6 @@ func (c Config) Sets() int {
 	}
 	return lines / assoc
 }
-
-// ErrNotPowerOfTwo is returned by helpers that require power-of-two sizes.
-var ErrNotPowerOfTwo = errors.New("cache: value is not a power of two")
 
 // Outcome describes what a single access did. Fill and Writeback carry
 // the information the memory-timing and stall models need.
@@ -327,17 +323,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // warm-up phase can be excluded from measurement.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Reset invalidates every line and clears statistics.
-func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
-
 // lineIndex returns the global line index (addr / lineSize).
 func (c *Cache) lineIndex(addr uint64) uint64 { return addr >> c.lineLo }
 
@@ -482,8 +467,8 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Dirty reports whether the line holding addr is present and dirty.
-func (c *Cache) Dirty(addr uint64) bool {
+// dirty reports whether the line holding addr is present and dirty.
+func (c *Cache) dirty(addr uint64) bool {
 	set, tag := c.split(addr)
 	for _, w := range c.sets[set] {
 		if w.valid && w.tag == tag {
@@ -493,25 +478,8 @@ func (c *Cache) Dirty(addr uint64) bool {
 	return false
 }
 
-// FlushAll writes back every dirty line and invalidates the cache,
-// returning the number of lines flushed. Statistics are preserved and
-// the flushes are counted as writebacks.
-func (c *Cache) FlushAll() int {
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				n++
-				c.stats.Writebacks++
-			}
-			set[i] = line{}
-		}
-	}
-	return n
-}
-
-// ValidLines returns the number of valid lines currently resident.
-func (c *Cache) ValidLines() int {
+// validLines returns the number of valid lines currently resident.
+func (c *Cache) validLines() int {
 	n := 0
 	for _, set := range c.sets {
 		for _, w := range set {

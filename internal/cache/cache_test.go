@@ -92,7 +92,7 @@ func TestWriteAllocateFetchesLine(t *testing.T) {
 	if out.Hit || !out.Fill || out.Bypassed {
 		t.Fatalf("write miss under write-allocate: %+v, want fill", out)
 	}
-	if !c.Dirty(0x2000) {
+	if !c.dirty(0x2000) {
 		t.Fatal("written line not dirty")
 	}
 	s := c.Stats()
@@ -118,7 +118,7 @@ func TestWriteAroundBypasses(t *testing.T) {
 	if !out.Hit {
 		t.Fatalf("write hit: %+v", out)
 	}
-	if !c.Dirty(0x3000) {
+	if !c.dirty(0x3000) {
 		t.Fatal("write hit did not mark line dirty")
 	}
 }
@@ -230,47 +230,22 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	c := MustNew(cfg8K())
-	c.Access(0x500, true)
-	c.Reset()
-	if c.Contains(0x500) || c.ValidLines() != 0 || c.Stats().Accesses() != 0 {
-		t.Fatal("Reset left state behind")
-	}
-}
-
-func TestFlushAll(t *testing.T) {
-	c := MustNew(cfg8K())
-	c.Access(0, true)
-	c.Access(64, true)
-	c.Access(128, false)
-	n := c.FlushAll()
-	if n != 2 {
-		t.Fatalf("FlushAll flushed %d lines, want 2", n)
-	}
-	if c.ValidLines() != 0 {
-		t.Fatal("FlushAll left valid lines")
-	}
-	if got := c.Stats().Writebacks; got != 2 {
-		t.Fatalf("writebacks after FlushAll = %d, want 2", got)
-	}
-}
-
 func TestHitRatioGrowsWithCacheSize(t *testing.T) {
 	refs := trace.Collect(trace.MustProgram(trace.Doduc, 3), 200000)
-	points, err := SweepSizes(cfg8K(), []int{1 << 10, 8 << 10, 64 << 10}, refs)
-	if err != nil {
-		t.Fatal(err)
+	var hr []float64
+	for _, size := range []int{1 << 10, 8 << 10, 64 << 10} {
+		cfg := cfg8K()
+		cfg.Size = size
+		hr = append(hr, Measure(MustNew(cfg), refs).HitRatio)
 	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Profile.HitRatio < points[i-1].Profile.HitRatio {
-			t.Fatalf("hit ratio fell when growing cache: %v then %v",
-				points[i-1].Profile.HitRatio, points[i].Profile.HitRatio)
+	for i := 1; i < len(hr); i++ {
+		if hr[i] < hr[i-1] {
+			t.Fatalf("hit ratio fell when growing cache: %v then %v", hr[i-1], hr[i])
 		}
 	}
 	// doduc's pointer-chase pool exceeds 64K, so the ceiling is modest.
-	if points[2].Profile.HitRatio < 0.7 {
-		t.Fatalf("64K cache hit ratio %.3f unexpectedly low", points[2].Profile.HitRatio)
+	if hr[2] < 0.7 {
+		t.Fatalf("64K cache hit ratio %.3f unexpectedly low", hr[2])
 	}
 }
 
@@ -279,15 +254,14 @@ func TestLargerLinesHelpSequential(t *testing.T) {
 	// roughly in proportion (the premise of the paper's §5.4).
 	refs := trace.Collect(trace.Sequential(trace.SequentialConfig{
 		Seed: 1, Base: 0, Length: 1 << 20, Stride: 8, ElemSize: 8}), 100000)
-	points, err := SweepLineSizes(Config{Size: 8 << 10, Assoc: 2}, []int{8, 16, 32, 64}, refs)
-	if err != nil {
-		t.Fatal(err)
+	lines := []int{8, 16, 32, 64}
+	var hr []float64
+	for _, line := range lines {
+		hr = append(hr, Measure(MustNew(Config{Size: 8 << 10, LineSize: line, Assoc: 2}), refs).HitRatio)
 	}
-	for i := 1; i < len(points); i++ {
-		prev, cur := points[i-1].Profile, points[i].Profile
-		if cur.HitRatio <= prev.HitRatio {
-			t.Fatalf("line %d hit ratio %.4f not above line %d's %.4f",
-				points[i].Config.LineSize, cur.HitRatio, points[i-1].Config.LineSize, prev.HitRatio)
+	for i := 1; i < len(hr); i++ {
+		if hr[i] <= hr[i-1] {
+			t.Fatalf("line %d hit ratio %.4f not above line %d's %.4f", lines[i], hr[i], lines[i-1], hr[i-1])
 		}
 	}
 }
@@ -325,14 +299,6 @@ func TestMeasureEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestMeasureSource(t *testing.T) {
-	c := MustNew(cfg8K())
-	p := MeasureSource(c, trace.MustProgram(trace.Ear, 1), 50000)
-	if p.Refs != 50000 {
-		t.Fatalf("refs = %d, want 50000", p.Refs)
-	}
-}
-
 func TestWriteAroundWCount(t *testing.T) {
 	cfg := cfg8K()
 	cfg.WriteMiss = WriteAround
@@ -344,15 +310,6 @@ func TestWriteAroundWCount(t *testing.T) {
 	}
 	if want := p.R/32 + p.W; p.Misses != want {
 		t.Fatalf("Λm = %d, want R/L + W = %d (Eq. 1)", p.Misses, want)
-	}
-}
-
-func TestSweepRejectsBadLineSize(t *testing.T) {
-	if _, err := SweepLineSizes(cfg8K(), []int{24}, nil); err == nil {
-		t.Fatal("SweepLineSizes accepted non-power-of-two line")
-	}
-	if _, err := SweepSizes(cfg8K(), []int{1000}, nil); err == nil {
-		t.Fatal("SweepSizes accepted non-power-of-two size")
 	}
 }
 
@@ -396,7 +353,7 @@ func TestValidLinesNeverExceedCapacity(t *testing.T) {
 		for _, a := range addrs {
 			c.Access(uint64(a), false)
 		}
-		return c.ValidLines() <= 512/32
+		return c.validLines() <= 512/32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -432,7 +389,7 @@ func TestWriteThroughHit(t *testing.T) {
 	if !out.Hit || !out.Through {
 		t.Fatalf("write-through hit: %+v", out)
 	}
-	if c.Dirty(0x100) {
+	if c.dirty(0x100) {
 		t.Fatal("write-through marked the line dirty")
 	}
 	if got := c.Stats().Throughs; got != 1 {
@@ -448,7 +405,7 @@ func TestWriteThroughAllocateMiss(t *testing.T) {
 	if !out.Fill || !out.Through {
 		t.Fatalf("write-through allocate miss: %+v", out)
 	}
-	if c.Dirty(0x200) {
+	if c.dirty(0x200) {
 		t.Fatal("write-through allocated a dirty line")
 	}
 }
@@ -622,8 +579,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	if cl.Stats() != before {
 		t.Fatalf("clone stats %+v, want %+v", cl.Stats(), before)
 	}
-	if cl.ValidLines() != c.ValidLines() {
-		t.Fatalf("clone holds %d lines, original %d", cl.ValidLines(), c.ValidLines())
+	if cl.validLines() != c.validLines() {
+		t.Fatalf("clone holds %d lines, original %d", cl.validLines(), c.validLines())
 	}
 	// Mutating the clone must not leak into the original (shared
 	// backing array would).

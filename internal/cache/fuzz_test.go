@@ -27,7 +27,7 @@ func FuzzCacheAccess(f *testing.F) {
 				t.Fatalf("step %d: hit and fill both %v", i/2, got.Hit)
 			}
 		}
-		if c.ValidLines() > cfg.Size/cfg.LineSize {
+		if c.validLines() > cfg.Size/cfg.LineSize {
 			t.Fatal("more valid lines than capacity")
 		}
 		s := c.Stats()

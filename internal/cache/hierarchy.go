@@ -121,19 +121,6 @@ func NewHierarchy(cfgs ...Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Depth returns the number of levels.
-func (h *Hierarchy) Depth() int { return len(h.levels) }
-
-// Level returns the i-th cache, 0-indexed from L1.
-func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
-
-// L1 returns the first-level cache.
-func (h *Hierarchy) L1() *Cache { return h.levels[0] }
-
-// L2 returns the second-level cache (the hierarchy must be at least
-// two levels deep).
-func (h *Hierarchy) L2() *Cache { return h.levels[1] }
-
 // Stats returns the hierarchy's counters.
 func (h *Hierarchy) Stats() HierarchyStats {
 	s := h.stats

@@ -96,7 +96,7 @@ func TestHierarchyDirtyVictimInstalledInL2(t *testing.T) {
 	if got := h.Stats().Levels[0].Flushes; got != 1 {
 		t.Fatalf("L1 flushes = %d, want 1", got)
 	}
-	if !h.L2().Dirty(0) {
+	if !h.levels[1].dirty(0) {
 		t.Fatal("L1 victim not dirty in L2")
 	}
 	// Re-reading 0 must hit L2, with the data (dirtiness) preserved.
@@ -155,10 +155,10 @@ func TestHierarchyWriteAroundL1(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Access(0x100, true) // L1 write-around: goes to L2 as a write
-	if h.L1().Contains(0x100) {
+	if h.levels[0].Contains(0x100) {
 		t.Fatal("write-around allocated in L1")
 	}
-	if !h.L2().Contains(0x100) {
+	if !h.levels[1].Contains(0x100) {
 		t.Fatal("write-around store not installed in L2")
 	}
 }
@@ -175,8 +175,8 @@ func TestHierarchyThreeLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Depth() != 3 {
-		t.Fatalf("Depth() = %d, want 3", h.Depth())
+	if len(h.levels) != 3 {
+		t.Fatalf("Depth() = %d, want 3", len(h.levels))
 	}
 	// 16 distinct lines: way beyond L1 (2 lines) and L2 (4 lines),
 	// comfortably inside L3. Two full passes: pass one is cold fills,
@@ -226,7 +226,7 @@ func TestHierarchyDirtyVictimCascade(t *testing.T) {
 	if s.Levels[1].Flushes != 2 {
 		t.Fatalf("L2 flushes = %d, want 2: %+v", s.Levels[1].Flushes, s)
 	}
-	if !h.Level(2).Dirty(0) {
+	if !h.levels[2].dirty(0) {
 		t.Fatal("cascaded L2 victim not dirty in L3")
 	}
 }

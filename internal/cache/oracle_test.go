@@ -230,7 +230,7 @@ func TestHierarchyTwoLevelMatchesOracle(t *testing.T) {
 		}
 		// Residency must match level by level too.
 		for _, r := range refs[:512] {
-			if h.L1().Contains(r.addr) != o.l1.Contains(r.addr) || h.L2().Contains(r.addr) != o.l2.Contains(r.addr) {
+			if h.levels[0].Contains(r.addr) != o.l1.Contains(r.addr) || h.levels[1].Contains(r.addr) != o.l2.Contains(r.addr) {
 				t.Fatalf("%+v: residency of %#x diverged", cfgs, r.addr)
 			}
 		}
@@ -270,7 +270,7 @@ func TestHierarchyOneLevelMatchesBareCache(t *testing.T) {
 				cfg, s, hits, misses, flushes)
 		}
 		for _, r := range refs[:512] {
-			if h.L1().Contains(r.addr) != c.Contains(r.addr) {
+			if h.levels[0].Contains(r.addr) != c.Contains(r.addr) {
 				t.Fatalf("%+v: residency of %#x diverged from bare cache", cfg, r.addr)
 			}
 		}

@@ -12,7 +12,7 @@ import "fmt"
 type VictimCache struct {
 	main   *Cache
 	victim []victimLine
-	stats  VictimStats
+	stats  victimStats
 	clock  uint64
 }
 
@@ -23,12 +23,11 @@ type victimLine struct {
 	stamp uint64
 }
 
-// VictimStats counts victim-buffer events.
-type VictimStats struct {
-	SwapHits  uint64 // main-cache misses satisfied by the buffer
-	Inserts   uint64 // displaced lines captured by the buffer
-	DirtyOut  uint64 // buffer evictions that wrote back to memory
-	Evictions uint64 // buffer entries pushed out
+// victimStats counts the victim-buffer events Combined corrects the
+// main cache's statistics by.
+type victimStats struct {
+	swapHits uint64 // main-cache misses satisfied by the buffer
+	dirtyOut uint64 // buffer evictions that wrote back to memory
 
 	// bookkeepingWrites counts internal dirty-restoration touches that
 	// must be excluded from combined statistics.
@@ -57,12 +56,6 @@ func NewVictim(cfg Config, entries int) (*VictimCache, error) {
 	}
 	return &VictimCache{main: main, victim: make([]victimLine, entries)}, nil
 }
-
-// Main returns the wrapped main cache.
-func (v *VictimCache) Main() *Cache { return v.main }
-
-// VictimStats returns the buffer's counters.
-func (v *VictimCache) VictimStats() VictimStats { return v.stats }
 
 // Access performs one reference through the two-level structure. The
 // returned outcome reflects memory-visible behaviour: a swap hit has
@@ -94,7 +87,7 @@ func (v *VictimCache) Access(addr uint64, write bool) Outcome {
 	}
 	if swapIdx >= 0 {
 		// The line came from the buffer, not memory: a swap, not a fill.
-		v.stats.SwapHits++
+		v.stats.swapHits++
 		if v.victim[swapIdx].dirty && !write {
 			// Preserve the dirty state the buffer was holding.
 			v.main.Access(addr, true)
@@ -119,7 +112,6 @@ func (v *VictimCache) find(line uint64) int {
 
 // insert places a displaced line into the buffer, evicting LRU.
 func (v *VictimCache) insert(line uint64, dirty bool) {
-	v.stats.Inserts++
 	slot, oldest := -1, ^uint64(0)
 	for i := range v.victim {
 		if !v.victim[i].valid {
@@ -130,11 +122,8 @@ func (v *VictimCache) insert(line uint64, dirty bool) {
 			slot, oldest = i, v.victim[i].stamp
 		}
 	}
-	if v.victim[slot].valid {
-		v.stats.Evictions++
-		if v.victim[slot].dirty {
-			v.stats.DirtyOut++
-		}
+	if v.victim[slot].valid && v.victim[slot].dirty {
+		v.stats.dirtyOut++
 	}
 	v.victim[slot] = victimLine{line: line, dirty: dirty, valid: true, stamp: v.clock}
 }
@@ -144,13 +133,13 @@ func (v *VictimCache) insert(line uint64, dirty bool) {
 func (v *VictimCache) Combined() CombinedStats {
 	m := v.main.Stats()
 	accesses := m.Accesses() - v.stats.bookkeepingWrites
-	hits := m.Hits() - v.stats.bookkeepingWrites + v.stats.SwapHits
-	misses := m.Misses() - v.stats.SwapHits
+	hits := m.Hits() - v.stats.bookkeepingWrites + v.stats.swapHits
+	misses := m.Misses() - v.stats.swapHits
 	cs := CombinedStats{
 		Accesses:   accesses,
 		Hits:       hits,
 		Misses:     misses,
-		Writebacks: v.stats.DirtyOut,
+		Writebacks: v.stats.dirtyOut,
 	}
 	if accesses > 0 {
 		cs.HitRatio = float64(hits) / float64(accesses)

@@ -31,7 +31,7 @@ func TestVictimSwapHit(t *testing.T) {
 	if !out.Hit || out.Fill {
 		t.Fatalf("conflicting re-reference: %+v, want swap hit", out)
 	}
-	if got := v.VictimStats().SwapHits; got != 1 {
+	if got := v.stats.swapHits; got != 1 {
 		t.Fatalf("swap hits = %d, want 1", got)
 	}
 }
@@ -54,7 +54,7 @@ func TestVictimPreservesDirtyData(t *testing.T) {
 	v.Access(0, true)   // dirty A
 	v.Access(64, false) // displace dirty A into the buffer
 	v.Access(0, false)  // swap back: A must return dirty
-	if !v.Main().Dirty(0) {
+	if !v.main.dirty(0) {
 		t.Fatal("dirty state lost through the victim buffer")
 	}
 	// No memory writeback happened anywhere in this sequence.
@@ -71,7 +71,7 @@ func TestVictimDirtyFallsOutToMemory(t *testing.T) {
 	v.Access(0, true)    // dirty A
 	v.Access(64, false)  // A -> buffer (dirty)
 	v.Access(128, false) // B displaced -> buffer, A falls out dirty
-	if got := v.VictimStats().DirtyOut; got != 1 {
+	if got := v.stats.dirtyOut; got != 1 {
 		t.Fatalf("dirty buffer evictions = %d, want 1", got)
 	}
 }

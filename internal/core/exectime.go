@@ -18,6 +18,8 @@ func ExecutionTime(p Params) float64 {
 // ExecutionTimeWithBuffers is Eq. (2) with ideal read-bypassing write
 // buffers: the flush term α(R/D)βm and the write-around term W·βm are
 // completely hidden (§4.3, Table 3).
+//
+//lint:ignore unusedexport paper: Eq. (2) with ideal write buffers (§4.3, Table 3); TestExecutionTimeWithBuffersDropsWriteTerms checks it
 func ExecutionTimeWithBuffers(p Params) float64 {
 	return p.E - p.Misses() + (p.R/p.L)*p.Phi*p.BetaM
 }
@@ -26,6 +28,8 @@ func ExecutionTimeWithBuffers(p Params) float64 {
 // readiness interval q: each full-blocking miss stalls βp = βm +
 // q(L/D − 1) cycles (Eq. 9), and each flushed line likewise occupies βp
 // (§4.4, Table 3).
+//
+//lint:ignore unusedexport paper: Eq. (2) with the Eq. (9) fill time βp (§4.4, Table 3); TestExecutionTimePipelinedEq9 checks it
 func ExecutionTimePipelined(p Params, q float64) float64 {
 	bp := BetaP(p.BetaM, q, p.L, p.D)
 	return p.E - p.Misses() +
@@ -49,6 +53,8 @@ func MemoryDelayCycles(p Params) float64 { return ExecutionTime(p) - (p.E - p.Mi
 // paper proves the tradeoff model equates exactly this quantity between
 // two systems, which makes it independent of the non-load/store
 // instruction mix; TestMeanDelayEquivalence exercises that identity.
+//
+//lint:ignore unusedexport paper: the mean memory delay of Eq. (10) (§4.5); TestMeanDelayEquivalence checks it
 func MeanMemoryDelay(p Params, totalRefs float64) float64 {
 	lm := p.Misses()
 	lh := totalRefs - lm

@@ -42,11 +42,6 @@ func (f Feature) String() string {
 	}
 }
 
-// Features lists the four features of the unified comparison (Table 3).
-func Features() []Feature {
-	return []Feature{FeatureDoubleBus, FeaturePartialStall, FeatureWriteBuffers, FeaturePipelinedMemory}
-}
-
 // FeatureSpec supplies the feature-specific knobs of Table 3.
 type FeatureSpec struct {
 	Feature Feature
@@ -120,6 +115,8 @@ func MissRatioOfCaches(spec FeatureSpec, alpha, l, d, betaM float64) (float64, e
 // for arbitrary stalling factors φ (D system) and φ' (2D system) and
 // flush ratios α, α'. Under full blocking and α = α' this equals
 // MissRatioOfCaches for FeatureDoubleBus.
+//
+//lint:ignore unusedexport paper: Eq. (3) for arbitrary φ, φ′, α, α′; TestBusWidthByteRatioEq3 checks it
 func BusWidthByteRatio(phi, phi2, alpha, alpha2, l, d, betaM float64) (float64, error) {
 	if l < 2*d || d <= 0 {
 		return 0, fmt.Errorf("core: Eq. 3 needs L >= 2D (L=%g, D=%g)", l, d)

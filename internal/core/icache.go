@@ -19,6 +19,8 @@ type ICacheParams struct {
 }
 
 // Validate extends Params.Validate to the instruction stream.
+//
+//lint:ignore unusedexport paper: the φI ∈ [1, L/D] domain of Table 2 for the §3.4 instruction-miss term; TestICacheValidation checks it
 func (p ICacheParams) Validate() error {
 	if err := p.Params.Validate(); err != nil {
 		return err
@@ -35,6 +37,8 @@ func (p ICacheParams) Validate() error {
 // ExecutionTimeWithICache evaluates Eq. (2) plus the §3.4 instruction
 // miss term (RI/L)·φI·βm. Instruction hits overlap execution through
 // pipelining and contribute nothing, exactly as in the paper.
+//
+//lint:ignore unusedexport paper: Eq. (2) plus the §3.4 instruction-miss term; TestICacheExecutionTime checks it
 func ExecutionTimeWithICache(p ICacheParams) float64 {
 	return ExecutionTime(p.Params) + (p.RI/p.L)*p.PhiI*p.BetaM
 }
@@ -44,6 +48,8 @@ func ExecutionTimeWithICache(p ICacheParams) float64 {
 // stream (a full-blocking instruction fetch with no flushes — I-caches
 // are read-only, so α = 0 and the write-buffer feature is meaningless
 // for them).
+//
+//lint:ignore unusedexport paper: Eq. (6) on the instruction stream (§3.4, §4.5); TestICacheTradeoffMatchesDataCacheAtAlphaZero checks it
 func ICacheTradeoff(baseHR float64, l, d, betaM float64) (Tradeoff, error) {
 	// Read-only stream: α = 0, full stalling fetch.
 	num := (l/d)*betaM - 1

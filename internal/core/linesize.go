@@ -13,6 +13,8 @@ func FillTime(c, beta, l, d float64) float64 { return c + (l/d)*beta }
 // LineExecTime evaluates Eq. (11)/(12): the execution time of a
 // full-stalling write-allocate system under the c + (L/D)β fill model,
 // with flush ratio alpha and W write-around misses each costing c + β.
+//
+//lint:ignore unusedexport paper: Eqs. (11)–(12) (§5.4); TestLineExecTimeEq11 checks it
 func LineExecTime(e, r, w, alpha, c, beta, l, d float64) float64 {
 	fill := FillTime(c, beta, l, d)
 	return (e - r/l - w) + (r/l)*(1+alpha)*fill + w*(c+beta)
@@ -67,6 +69,8 @@ func DeltaEHR(hr0, alpha0, alphaStar, c, beta, l0, lStar, d float64) (float64, e
 // hit-ratio gain deltaHR of using L* over L0 (a property of the
 // application at fixed cache size), the larger line improves
 // performance only if deltaHR exceeds the required ΔEHR of Eq. (14).
+//
+//lint:ignore unusedexport paper: the §5.4.1 decision rule on Eq. (14); TestLargerLineWorthItDecision checks it
 func LargerLineWorthIt(deltaHR, hr0, alpha0, alphaStar, c, beta, l0, lStar, d float64) (bool, error) {
 	need, err := DeltaEHR(hr0, alpha0, alphaStar, c, beta, l0, lStar, d)
 	if err != nil {

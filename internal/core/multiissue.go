@@ -21,6 +21,8 @@ import "fmt"
 
 // ExecutionTimeMultiIssue evaluates the multi-issue execution time X_I
 // for issue width issue ≥ 1.
+//
+//lint:ignore unusedexport paper: Eq. (2) at issue width I, the §6 multi-issue model; TestMultiIssueExecutionTime checks it
 func ExecutionTimeMultiIssue(p Params, issue float64) (float64, error) {
 	if issue < 1 {
 		return 0, fmt.Errorf("core: issue width %g, want >= 1", issue)

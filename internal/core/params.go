@@ -70,10 +70,6 @@ func (p Params) Validate() error {
 // and write-miss fetches are part of R.
 func (p Params) Misses() float64 { return p.R/p.L + p.W }
 
-// FullStall returns the full-blocking stalling factor L/D, the maximum
-// of Table 2.
-func (p Params) FullStall() float64 { return p.L / p.D }
-
 // WithFullStall returns a copy of p with φ set to the full-blocking
 // value L/D.
 func (p Params) WithFullStall() Params {
@@ -89,9 +85,6 @@ func SFromHitRatio(hr float64) (float64, error) {
 	}
 	return hr / (1 - hr), nil
 }
-
-// HitRatioFromS inverts SFromHitRatio: HR = s/(s+1).
-func HitRatioFromS(s float64) float64 { return s / (s + 1) }
 
 // validFraction reports whether v is a usable probability-like value.
 func validFraction(v float64) bool { return !math.IsNaN(v) && v > 0 && v < 1 }

@@ -46,6 +46,8 @@ func PipelineCrossover(q, l, d float64) (float64, error) {
 // as much hit ratio as bus doubling at memory cycle betaM, by direct
 // comparison of the Table 3 ratios. It must agree with the closed-form
 // crossover; TestCrossoverAgreesWithRatios checks that.
+//
+//lint:ignore unusedexport paper: the Table 3 pipeline-versus-bus decision rule (§4.4); TestCrossoverAgreesWithRatios checks it
 func PipelineBeatsBus(alpha, l, d, betaM, q float64) (bool, error) {
 	rPipe, err := MissRatioOfCaches(FeatureSpec{Feature: FeaturePipelinedMemory, Q: q}, alpha, l, d, betaM)
 	if err != nil {

@@ -112,6 +112,8 @@ func MissRatioOfCachesProfile(spec FeatureSpec, w WorkloadProfile, d, betaM floa
 
 // ProfileTradeoff prices a feature for a measured workload profile at
 // base hit ratio baseHR.
+//
+//lint:ignore unusedexport paper: Eq. (6) on the Table 3 ratio generalized to W > 0; TestProfileTradeoffEndToEnd checks it
 func ProfileTradeoff(spec FeatureSpec, w WorkloadProfile, baseHR, d, betaM float64) (Tradeoff, error) {
 	r, err := MissRatioOfCachesProfile(spec, w, d, betaM)
 	if err != nil {

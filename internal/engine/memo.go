@@ -145,31 +145,12 @@ func (m *Memo[V]) do(ctx context.Context, key string, fn func(context.Context) (
 	}
 }
 
-// Get returns the cached value for key, refreshing its recency.
-func (m *Memo[V]) Get(key string) (V, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*memoEntry[V]).val, true
-}
-
-// Put stores a value directly, evicting LRU entries over either bound.
-func (m *Memo[V]) Put(key string, val V) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.add(key, val)
-}
-
-// add inserts or refreshes key under m.mu, then evicts from the LRU
-// end until both bounds hold. A value alone too large for the byte
-// budget is rejected before anything is evicted — returned to its
-// caller but never cached, and it drops only the stale entry it would
-// have replaced, so one oversized value cannot flush the cache.
+// add caches the value do just computed for key, which no entry holds
+// (callers of a key in flight wait on its flight instead of adding),
+// then evicts from the LRU end until both bounds hold. A value alone
+// too large for the byte budget is returned to its caller but never
+// cached, and evicts nothing, so one oversized value cannot flush the
+// cache.
 //
 //lockguard:held mu
 func (m *Memo[V]) add(key string, val V) {
@@ -178,20 +159,10 @@ func (m *Memo[V]) add(key string, val V) {
 		n = m.size(val)
 	}
 	if m.maxBytes > 0 && n > m.maxBytes {
-		if el, ok := m.entries[key]; ok {
-			m.remove(el)
-		}
 		return
 	}
-	if el, ok := m.entries[key]; ok {
-		e := el.Value.(*memoEntry[V])
-		m.bytes += n - e.bytes
-		e.val, e.bytes = val, n
-		m.order.MoveToFront(el)
-	} else {
-		m.entries[key] = m.order.PushFront(&memoEntry[V]{key: key, val: val, bytes: n})
-		m.bytes += n
-	}
+	m.entries[key] = m.order.PushFront(&memoEntry[V]{key: key, val: val, bytes: n})
+	m.bytes += n
 	for m.order.Len() > 0 &&
 		((m.maxEntries > 0 && m.order.Len() > m.maxEntries) ||
 			(m.maxBytes > 0 && m.bytes > m.maxBytes)) {

@@ -30,14 +30,14 @@ func TestMemoHitAndMiss(t *testing.T) {
 
 func TestMemoEntryEviction(t *testing.T) {
 	m := NewMemo[[]byte](2, 0, bytesSize)
-	m.Put("a", []byte("a"))
-	m.Put("b", []byte("b"))
-	m.Get("a") // refresh a; b is now LRU
-	m.Put("c", []byte("c"))
-	if _, ok := m.Get("b"); ok {
+	put(t, m, "a", []byte("a"))
+	put(t, m, "b", []byte("b"))
+	cached(m, "a") // refresh a; b is now LRU
+	put(t, m, "c", []byte("c"))
+	if cached(m, "b") {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := m.Get("a"); !ok {
+	if !cached(m, "a") {
 		t.Fatal("a should have survived")
 	}
 	if m.Len() != 2 {
@@ -49,13 +49,13 @@ func TestMemoEntryEviction(t *testing.T) {
 // just entry count, and that Bytes() tracks the live total.
 func TestMemoByteBound(t *testing.T) {
 	m := NewMemo[[]byte](0, 100, bytesSize)
-	m.Put("a", make([]byte, 40))
-	m.Put("b", make([]byte, 40))
+	put(t, m, "a", make([]byte, 40))
+	put(t, m, "b", make([]byte, 40))
 	if got := m.Bytes(); got != 80 {
 		t.Fatalf("bytes = %d, want 80", got)
 	}
-	m.Put("c", make([]byte, 40)) // 120 > 100: evicts a
-	if _, ok := m.Get("a"); ok {
+	put(t, m, "c", make([]byte, 40)) // 120 > 100: evicts a
+	if cached(m, "a") {
 		t.Fatal("a should have been evicted by the byte bound")
 	}
 	if got, n := m.Bytes(), m.Len(); got != 80 || n != 2 {
@@ -63,27 +63,35 @@ func TestMemoByteBound(t *testing.T) {
 	}
 	// A value alone too large for the budget is returned but not
 	// cached, and it is rejected before anything else is evicted.
-	m.Put("huge", make([]byte, 500))
-	if _, ok := m.Get("huge"); ok {
+	put(t, m, "huge", make([]byte, 500))
+	if cached(m, "huge") {
 		t.Fatal("an over-budget value was cached")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, ok := m.Get(k); !ok {
-			t.Fatalf("%s was evicted by an over-budget put", k)
+		if !cached(m, k) {
+			t.Fatalf("%s was evicted by an over-budget value", k)
 		}
 	}
 	if got, n := m.Bytes(), m.Len(); got != 80 || n != 2 {
-		t.Fatalf("after the huge put: bytes = %d len = %d, want 80 and 2", got, n)
+		t.Fatalf("after the huge value: bytes = %d len = %d, want 80 and 2", got, n)
 	}
-	// Replacing a cached key with an over-budget value drops the stale
-	// entry rather than serving it.
-	m.Put("b", make([]byte, 500))
-	if _, ok := m.Get("b"); ok {
-		t.Fatal("a stale value survived its over-budget replacement")
+}
+
+// put caches val under key through Do.
+func put(t *testing.T, m *Memo[[]byte], key string, val []byte) {
+	t.Helper()
+	if _, _, err := m.Do(context.Background(), key, func(context.Context) ([]byte, error) { return val, nil }); err != nil {
+		t.Fatal(err)
 	}
-	if got, n := m.Bytes(), m.Len(); got != 40 || n != 1 {
-		t.Fatalf("after replacing b: bytes = %d len = %d, want 40 and 1", got, n)
-	}
+}
+
+var errNotCached = errors.New("not cached")
+
+// cached reports whether m holds key, refreshing its recency as a hit
+// does; a miss caches nothing.
+func cached(m *Memo[[]byte], key string) bool {
+	_, shared, err := m.Do(context.Background(), key, func(context.Context) ([]byte, error) { return nil, errNotCached })
+	return err == nil && shared
 }
 
 // TestMemoSingleflight is the contract the service's endpoint dedup
@@ -203,8 +211,9 @@ func TestMemoCancelledLeaderHandsOver(t *testing.T) {
 		t.Fatal("waiter never took over the computation")
 	}
 	wg.Wait()
-	if v, ok := m.Get("k"); !ok || string(v) != "rescued" {
-		t.Fatalf("cache holds %q, %v; want the waiter's value", v, ok)
+	v, shared, err := m.Do(context.Background(), "k", func(context.Context) ([]byte, error) { return nil, errNotCached })
+	if err != nil || !shared || string(v) != "rescued" {
+		t.Fatalf("cache holds %q (shared=%v, err=%v); want the waiter's value", v, shared, err)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"tradeoff/internal/memory"
 	"tradeoff/internal/plot"
 	"tradeoff/internal/stall"
+	"tradeoff/internal/trace"
 )
 
 func fast() Options { return Options{Fast: true} }
@@ -52,6 +54,53 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("duplicate experiment %s", e.Name)
 		}
 		seen[e.Name] = true
+	}
+}
+
+// TestAveragePrograms pins the one program-averaging path: one result
+// per trace.Programs name, each equal to a direct stall.Run of that
+// program's trace, and an average equal to stall.AverageResults of
+// them in trace.Programs order. averagePrograms always replays
+// trace.Programs, so no unknown name can reach it (simjob's
+// TestRunBadJob pins that error); a failing replay must still surface.
+func TestAveragePrograms(t *testing.T) {
+	const refs, seed = 5000, 3
+	cfg := stall.Config{
+		Cache:   fig1Cache(),
+		Memory:  memory.Config{BetaM: 10, BusWidth: 4},
+		Feature: stall.BNL3,
+	}
+	per, avg, err := averagePrograms(cfg, refs, seed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := trace.Programs()
+	if len(per) != len(names) {
+		t.Fatalf("%d programs measured, want %d", len(per), len(names))
+	}
+	results := make([]stall.Result, len(names))
+	for i, name := range names {
+		got, ok := per[name]
+		if !ok {
+			t.Fatalf("no result for %s", name)
+		}
+		want, err := stall.Run(cfg, trace.Collect(trace.MustProgram(name, seed), refs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: pooled result %+v, direct replay %+v", name, got, want)
+		}
+		results[i] = got
+	}
+	if _, want := stall.AverageResults(names, results); avg != want {
+		t.Fatalf("average %+v, want stall.AverageResults %+v", avg, want)
+	}
+
+	bad := cfg
+	bad.Cache.LineSize = 24
+	if _, _, err := averagePrograms(bad, refs, seed, 2); err == nil {
+		t.Fatal("invalid cache geometry accepted")
 	}
 }
 

@@ -282,7 +282,7 @@ func WriteAround(o Options) ([]Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := cache.MeasureSource(c, trace.MustProgram(trace.Doduc, o.seed()), o.refsPerProgram())
+	p := cache.Measure(c, trace.Collect(trace.MustProgram(trace.Doduc, o.seed()), o.refsPerProgram()))
 	around := core.WorkloadProfile{R: float64(p.R), W: float64(p.W), Alpha: p.Alpha, L: 32}
 	alloc := around
 	alloc.W = 0

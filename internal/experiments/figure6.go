@@ -128,7 +128,7 @@ func figure6Simulated(o Options) (Artifact, error) {
 			if err != nil {
 				return Artifact{}, err
 			}
-			p := cache.MeasureSource(c, trace.MustProgram(prog, o.seed()), refs)
+			p := cache.Measure(c, trace.Collect(trace.MustProgram(prog, o.seed()), refs))
 			mrSum += 1 - p.HitRatio
 		}
 		tab.Set(8<<10, ls, mrSum/6)

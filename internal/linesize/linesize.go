@@ -148,6 +148,8 @@ func Eq19Optimal(s missratio.Surface, cfg Config, beta float64) (int, error) {
 // UsefulBusSpeeds returns the bus speeds (among betas) at which line li
 // yields a positive reduced delay over the base line — the "beneficial
 // range of bus speed" of §5.4.2.
+//
+//lint:ignore unusedexport paper: the §5.4.2 useful bus-speed range of Eq. (19); TestUsefulBusSpeeds checks it
 func UsefulBusSpeeds(s missratio.Surface, cfg Config, li int, betas []float64) ([]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -81,18 +81,6 @@ func New(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg}, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(cfg Config) *Model {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Chunks returns the number of bus transfers needed for lineSize bytes
 // (L/D, minimum 1).
 func (m *Model) Chunks(lineSize int) int {
@@ -111,16 +99,6 @@ func (m *Model) LineTime(lineSize int) int64 {
 		return m.cfg.BetaM + m.cfg.Q*(n-1)
 	}
 	return n * m.cfg.BetaM
-}
-
-// WriteTime returns the cycles for a single write of size bytes. Writes
-// no wider than the bus take one memory cycle; wider writes take one
-// cycle per bus-width piece (the W decomposition in Table 1).
-func (m *Model) WriteTime(size int) int64 {
-	if size <= m.cfg.BusWidth {
-		return m.cfg.BetaM
-	}
-	return int64((size+m.cfg.BusWidth-1)/m.cfg.BusWidth) * m.cfg.BetaM
 }
 
 // Fill is a scheduled line fill: it knows when each D-byte chunk of the
@@ -206,6 +184,3 @@ func wrapChunk(c, chunks int) int {
 func (f Fill) ByteReady(offsetInLine, busWidth int) int64 {
 	return f.ChunkReady(offsetInLine / busWidth)
 }
-
-// Chunks returns the number of chunks in the fill.
-func (f Fill) Chunks() int { return f.chunks }

@@ -29,17 +29,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic")
-		}
-	}()
-	MustNew(Config{})
-}
-
 func TestChunks(t *testing.T) {
-	m := MustNew(Config{BetaM: 4, BusWidth: 4})
+	m := newModel(t, Config{BetaM: 4, BusWidth: 4})
 	if got := m.Chunks(32); got != 8 {
 		t.Fatalf("Chunks(32) = %d, want 8", got)
 	}
@@ -52,7 +43,7 @@ func TestChunks(t *testing.T) {
 }
 
 func TestLineTimeNonPipelined(t *testing.T) {
-	m := MustNew(Config{BetaM: 5, BusWidth: 4})
+	m := newModel(t, Config{BetaM: 5, BusWidth: 4})
 	if got := m.LineTime(32); got != 40 {
 		t.Fatalf("LineTime(32) = %d, want (32/4)*5 = 40", got)
 	}
@@ -60,12 +51,12 @@ func TestLineTimeNonPipelined(t *testing.T) {
 
 func TestLineTimeEq9(t *testing.T) {
 	// Eq. (9): βp = βm + q(L/D − 1).
-	m := MustNew(Config{BetaM: 5, BusWidth: 4, Pipelined: true, Q: 2})
+	m := newModel(t, Config{BetaM: 5, BusWidth: 4, Pipelined: true, Q: 2})
 	if got := m.LineTime(32); got != 5+2*7 {
 		t.Fatalf("pipelined LineTime(32) = %d, want 19", got)
 	}
 	// L = D: pipelining must make no difference (paper §4.4).
-	if got, want := m.LineTime(4), MustNew(Config{BetaM: 5, BusWidth: 4}).LineTime(4); got != want {
+	if got, want := m.LineTime(4), newModel(t, Config{BetaM: 5, BusWidth: 4}).LineTime(4); got != want {
 		t.Fatalf("L=D pipelined %d != non-pipelined %d", got, want)
 	}
 }
@@ -76,8 +67,8 @@ func TestPipeliningNeverSlower(t *testing.T) {
 		b := int64(beta%30) + 1
 		qq := int64(q)%b + 1    // 1..b
 		L := 4 << (lineExp % 4) // 4..32
-		np := MustNew(Config{BetaM: b, BusWidth: 4})
-		p := MustNew(Config{BetaM: b, BusWidth: 4, Pipelined: true, Q: qq})
+		np := newModel(t, Config{BetaM: b, BusWidth: 4})
+		p := newModel(t, Config{BetaM: b, BusWidth: 4, Pipelined: true, Q: qq})
 		return p.LineTime(L) <= np.LineTime(L)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -85,28 +76,12 @@ func TestPipeliningNeverSlower(t *testing.T) {
 	}
 }
 
-func TestWriteTime(t *testing.T) {
-	m := MustNew(Config{BetaM: 6, BusWidth: 4})
-	if got := m.WriteTime(4); got != 6 {
-		t.Fatalf("WriteTime(4) = %d, want 6", got)
-	}
-	if got := m.WriteTime(1); got != 6 {
-		t.Fatalf("WriteTime(1) = %d, want 6 (sub-bus write still one cycle)", got)
-	}
-	if got := m.WriteTime(8); got != 12 {
-		t.Fatalf("WriteTime(8) = %d, want 12 (two bus pieces)", got)
-	}
-	if got := m.WriteTime(10); got != 18 {
-		t.Fatalf("WriteTime(10) = %d, want 18 (three pieces, rounded up)", got)
-	}
-}
-
 func TestFillChunkOrderNonPipelined(t *testing.T) {
-	m := MustNew(Config{BetaM: 10, BusWidth: 4})
+	m := newModel(t, Config{BetaM: 10, BusWidth: 4})
 	// 32-byte line = 8 chunks; critical chunk 5.
 	f := m.NewFill(100, 7, 32, 5)
-	if f.Chunks() != 8 {
-		t.Fatalf("chunks = %d, want 8", f.Chunks())
+	if f.chunks != 8 {
+		t.Fatalf("chunks = %d, want 8", f.chunks)
 	}
 	if got := f.CriticalReady(); got != 110 {
 		t.Fatalf("critical ready at %d, want 110", got)
@@ -130,7 +105,7 @@ func TestFillChunkOrderNonPipelined(t *testing.T) {
 }
 
 func TestFillPipelinedSchedule(t *testing.T) {
-	m := MustNew(Config{BetaM: 10, BusWidth: 4, Pipelined: true, Q: 2})
+	m := newModel(t, Config{BetaM: 10, BusWidth: 4, Pipelined: true, Q: 2})
 	f := m.NewFill(0, 0, 32, 0)
 	if got := f.CriticalReady(); got != 10 {
 		t.Fatalf("critical at %d, want 10", got)
@@ -144,7 +119,7 @@ func TestFillPipelinedSchedule(t *testing.T) {
 }
 
 func TestFillByteReady(t *testing.T) {
-	m := MustNew(Config{BetaM: 10, BusWidth: 4})
+	m := newModel(t, Config{BetaM: 10, BusWidth: 4})
 	f := m.NewFill(0, 0, 32, 0)
 	if got := f.ByteReady(0, 4); got != 10 {
 		t.Fatalf("byte 0 at %d, want 10", got)
@@ -161,7 +136,7 @@ func TestFillByteReady(t *testing.T) {
 }
 
 func TestFillCriticalModuloChunks(t *testing.T) {
-	m := MustNew(Config{BetaM: 3, BusWidth: 4})
+	m := newModel(t, Config{BetaM: 3, BusWidth: 4})
 	f := m.NewFill(0, 0, 16, 9) // 4 chunks, critical 9%4 = 1
 	if got := f.ChunkReady(1); got != 3 {
 		t.Fatalf("chunk 1 at %d, want 3", got)
@@ -176,13 +151,13 @@ func TestFillCompleteMatchesLineTime(t *testing.T) {
 		qq := int64(q%8) + 1
 		L := 4 << (lineExp % 4)
 		cfg := Config{BetaM: b, BusWidth: 4, Pipelined: pipe, Q: qq}
-		m := MustNew(cfg)
+		m := newModel(t, cfg)
 		fl := m.NewFill(1000, 1, L, int(crit))
 		if fl.Complete()-fl.Start != m.LineTime(L) {
 			return false
 		}
 		first := fl.CriticalReady()
-		for c := 0; c < fl.Chunks(); c++ {
+		for c := 0; c < fl.chunks; c++ {
 			if fl.ChunkReady(c) < first {
 				return false
 			}
@@ -195,10 +170,10 @@ func TestFillCompleteMatchesLineTime(t *testing.T) {
 }
 
 func TestAllChunksDistinctArrivals(t *testing.T) {
-	m := MustNew(Config{BetaM: 7, BusWidth: 8})
+	m := newModel(t, Config{BetaM: 7, BusWidth: 8})
 	f := m.NewFill(0, 0, 64, 3)
 	seen := map[int64]bool{}
-	for c := 0; c < f.Chunks(); c++ {
+	for c := 0; c < f.chunks; c++ {
 		at := f.ChunkReady(c)
 		if seen[at] {
 			t.Fatalf("two chunks arrive at cycle %d", at)
@@ -211,7 +186,7 @@ func TestAllChunksDistinctArrivals(t *testing.T) {
 }
 
 func TestSequentialFillOrder(t *testing.T) {
-	m := MustNew(Config{BetaM: 10, BusWidth: 4, Order: Sequential})
+	m := newModel(t, Config{BetaM: 10, BusWidth: 4, Order: Sequential})
 	// 32-byte line, critical chunk 5: under sequential delivery chunk 0
 	// arrives first and the requested word waits six transfers.
 	f := m.NewFill(0, 0, 32, 5)
@@ -232,8 +207,8 @@ func TestSequentialNeverFasterForCritical(t *testing.T) {
 	f := func(beta uint8, crit uint8, lineExp uint8) bool {
 		b := int64(beta%20) + 1
 		L := 8 << (lineExp % 3)
-		rf := MustNew(Config{BetaM: b, BusWidth: 4}).NewFill(0, 0, L, int(crit))
-		sq := MustNew(Config{BetaM: b, BusWidth: 4, Order: Sequential}).NewFill(0, 0, L, int(crit))
+		rf := newModel(t, Config{BetaM: b, BusWidth: 4}).NewFill(0, 0, L, int(crit))
+		sq := newModel(t, Config{BetaM: b, BusWidth: 4, Order: Sequential}).NewFill(0, 0, L, int(crit))
 		return sq.CriticalReady() >= rf.CriticalReady() && sq.Complete() == rf.Complete()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -257,7 +232,7 @@ func TestChunkReadyWrapsNegativeInput(t *testing.T) {
 	// arrival at or before the fill's start — and agree with the
 	// congruent non-negative index under both delivery orders.
 	for _, order := range []FillOrder{RequestedFirst, Sequential} {
-		m := MustNew(Config{BetaM: 10, BusWidth: 4, Order: order})
+		m := newModel(t, Config{BetaM: 10, BusWidth: 4, Order: order})
 		f := m.NewFill(100, 0, 32, 2)
 		for c := -16; c < 16; c++ {
 			pos := ((c % 8) + 8) % 8
@@ -274,11 +249,21 @@ func TestChunkReadyWrapsNegativeInput(t *testing.T) {
 func TestNewFillNegativeCriticalChunk(t *testing.T) {
 	// A negative critical chunk (same truncation source) must schedule
 	// like its congruent in-line chunk.
-	m := MustNew(Config{BetaM: 10, BusWidth: 4})
+	m := newModel(t, Config{BetaM: 10, BusWidth: 4})
 	neg := m.NewFill(0, 0, 32, -3)
 	pos := m.NewFill(0, 0, 32, 5)
 	if neg.CriticalReady() != pos.CriticalReady() || neg.Complete() != pos.Complete() {
 		t.Fatalf("critical -3 schedules unlike critical 5: %d/%d vs %d/%d",
 			neg.CriticalReady(), neg.Complete(), pos.CriticalReady(), pos.Complete())
 	}
+}
+
+// newModel is New for a config the test knows is valid.
+func newModel(t *testing.T, cfg Config) *Model {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

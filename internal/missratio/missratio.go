@@ -74,9 +74,6 @@ func (m Model) MissRatio(size, lineSize int) float64 {
 	return math.Min(1, math.Max(1e-9, mr))
 }
 
-// HitRatio returns 1 − MissRatio.
-func (m Model) HitRatio(size, lineSize int) float64 { return 1 - m.MissRatio(size, lineSize) }
-
 // Table is an empirical miss-ratio surface backed by measured points,
 // e.g. from cache-simulator sweeps. Lookups require exact (size, line)
 // hits; Interp provides log-space interpolation on line size.
@@ -111,16 +108,10 @@ func (t *Table) MissRatio(size, lineSize int) float64 {
 	if mr, ok := t.Lookup(size, lineSize); ok {
 		return mr
 	}
-	var lines []int
-	for g := range t.points {
-		if g.size == size {
-			lines = append(lines, g.line)
-		}
-	}
+	lines := t.Lines(size)
 	if len(lines) == 0 {
 		panic(fmt.Sprintf("missratio: no data for cache size %d", size))
 	}
-	sort.Ints(lines)
 	// Clamp outside the measured range.
 	if lineSize <= lines[0] {
 		return t.points[geom{size, lines[0]}]
@@ -135,20 +126,6 @@ func (t *Table) MissRatio(size, lineSize int) float64 {
 	frac := (math.Log2(float64(lineSize)) - math.Log2(float64(lo))) /
 		(math.Log2(float64(hi)) - math.Log2(float64(lo)))
 	return mrLo + frac*(mrHi-mrLo)
-}
-
-// Sizes returns the distinct cache sizes recorded, ascending.
-func (t *Table) Sizes() []int {
-	seen := map[int]bool{}
-	for g := range t.points {
-		seen[g.size] = true
-	}
-	sizes := make([]int, 0, len(seen))
-	for s := range seen {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-	return sizes
 }
 
 // Lines returns the distinct line sizes recorded for a cache size,

@@ -49,13 +49,6 @@ func TestModelClamps(t *testing.T) {
 	}
 }
 
-func TestModelHitRatio(t *testing.T) {
-	m := DefaultModel()
-	if hr := m.HitRatio(16<<10, 32); math.Abs(hr+m.MissRatio(16<<10, 32)-1) > 1e-12 {
-		t.Fatalf("HitRatio+MissRatio != 1: %v", hr)
-	}
-}
-
 // smithOptimal applies Smith's criterion (Eq. (16) of the paper):
 // minimize miss-ratio × miss-penalty, penalty = c' + β·L/D with
 // c' = λ·β (latency expressed in bus cycles; see DESIGN.md §4).
@@ -145,14 +138,11 @@ func TestTablePanicsWithoutSizeData(t *testing.T) {
 	NewTable().MissRatio(4<<10, 32)
 }
 
-func TestTableSizesAndLines(t *testing.T) {
+func TestTableLines(t *testing.T) {
 	tab := NewTable()
 	tab.Set(16<<10, 32, 0.04)
 	tab.Set(8<<10, 64, 0.05)
 	tab.Set(8<<10, 16, 0.09)
-	if s := tab.Sizes(); len(s) != 2 || s[0] != 8<<10 || s[1] != 16<<10 {
-		t.Fatalf("Sizes = %v", s)
-	}
 	if l := tab.Lines(8 << 10); len(l) != 2 || l[0] != 16 || l[1] != 64 {
 		t.Fatalf("Lines(8K) = %v", l)
 	}

@@ -34,6 +34,3 @@ func (c *Cache) Get(ctx context.Context, spec Spec) (*mrc.Curve, bool, error) {
 		return CurveFor(spec)
 	})
 }
-
-// Len returns the number of cached curves.
-func (c *Cache) Len() int { return c.memo.Len() }

@@ -11,7 +11,7 @@ import (
 // n is the component's reference share; distances are in lines of L
 // bytes counting only this component's own lines (regions are
 // disjoint, so blending adds foreign lines separately); every
-// derivation is documented in DESIGN.md §5.8.
+// derivation is documented in DESIGN.md §5.6.
 
 // seqModel prices a strided sweep over a Length-byte region that
 // wraps forever (trace.Sequential). Per sweep there are

@@ -24,7 +24,7 @@
 // the per-workload maximum absolute hit-ratio error vs. the exact MRC
 // tier, pinned by the cross-validation harness in xval.go (CI) and
 // re-measured continuously by the service's rotating validation loop.
-// DESIGN.md §5.8 derives the closed forms per generator family.
+// DESIGN.md §5.6 derives the closed forms per generator family.
 package model
 
 import (

@@ -73,7 +73,7 @@ type StallSpec struct {
 // Validation against replay over the default grid shows φ within
 // 0.16·(L/D) absolute and Cycles within the hit-ratio tier's
 // miss-count error amplified by the stall share; FS/BL φ are
-// near-exact. The measured budgets are documented in DESIGN.md §5.8
+// near-exact. The measured budgets are documented in DESIGN.md §5.6
 // and pinned by TestEstimateStall (epsStallPhi, stallCycleBudget).
 func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result, error) {
 	cSpec := Spec{Workload: spec.Workload, Seed: spec.Seed, Refs: spec.Refs, LineSize: spec.LineBytes}

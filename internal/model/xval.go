@@ -41,7 +41,7 @@ func DefaultSizes() []int {
 
 // ErrorBound returns the committed maximum absolute hit-ratio error
 // of the analytic tier vs. exact MRC for a covered workload — the
-// epsilon table of DESIGN.md §5.8, pinned in CI by TestCrossValidate
+// epsilon table of DESIGN.md §5.6, pinned in CI by TestCrossValidate
 // and re-measured live by the service's validation loop. Unknown
 // workloads return 1 (no guarantee).
 //
@@ -50,7 +50,7 @@ func DefaultSizes() []int {
 // (see errorBudget), rounded up with ≈30% headroom. Loop-nest workloads (sequential/stencil dominated) model
 // tightest; doduc's drifting working set and wave5's huge
 // pointer-chase distances are the loosest. swm256 carries the known
-// stride-aliasing caveat from §5.6 on top of this fully-associative
+// stride-aliasing caveat from §5.5 on top of this fully-associative
 // bound: its 2 KiB row stride aliases power-of-two set indexing, so
 // the Smith-corrected assoc comparison is pinned separately (see
 // TestCrossValidateSwm256Aliasing).

@@ -88,6 +88,8 @@ type CurveCache struct {
 // NewCurveCache returns a cache bounded to maxEntries curves and
 // maxBytes of resident curve data (bounds <= 0 are unlimited, matching
 // engine.NewMemo), profiling traces from a private trace.NewCache.
+//
+//lint:ignore unusedexport e2ebench: the benchmark builds its curve cache with it
 func NewCurveCache(maxEntries int, maxBytes int64) *CurveCache {
 	return NewCurveCacheOn(trace.NewCache(), maxEntries, maxBytes)
 }
@@ -110,6 +112,3 @@ func (cc *CurveCache) Get(ctx context.Context, spec Spec) (*Curve, bool, error) 
 		return spec.Profile(ctx, cc.traces)
 	})
 }
-
-// Len returns the number of cached curves.
-func (cc *CurveCache) Len() int { return cc.memo.Len() }

@@ -144,12 +144,6 @@ func TestNewAnalyticCurve(t *testing.T) {
 			t.Errorf("HitRatio(%d) = %v, want %v", tc.size, got, tc.want)
 		}
 	}
-	if got := c.MissRatio(4 * 32); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("MissRatio = %v, want 0.2", got)
-	}
-	if c.ColdMisses() != 20 || c.MaxDistance() != 3 {
-		t.Errorf("ColdMisses %v MaxDistance %d, want 20 and 3", c.ColdMisses(), c.MaxDistance())
-	}
 
 	for _, tc := range []struct {
 		name string

@@ -10,7 +10,7 @@ import (
 // FuzzMRCMatchesSimulator drives fuzzer-chosen traces and geometries
 // through both the exact Mattson profiler and the cache simulator,
 // asserting the hit ratios are equal bit-for-bit for fully-associative
-// LRU write-allocate caches — the exactness domain DESIGN.md §5.6
+// LRU write-allocate caches — the exactness domain DESIGN.md §5.5
 // documents. Traces come from the named workload generators or, in one
 // mode, raw splitmix64 addresses confined to a small region so reuse
 // is frequent.

@@ -32,7 +32,7 @@
 //     internal/cache measures for Assoc 0, LRU, write-allocate);
 //     HitRatioAssoc applies Smith's binomial set-mapping correction so
 //     the same histogram approximates direct-mapped and set-associative
-//     geometries within a documented tolerance (DESIGN.md §5.6).
+//     geometries within a documented tolerance (DESIGN.md §5.5).
 //
 // The sweep engine consumes curves through CurveCache, which memoizes
 // one profiled Curve per (workload, line size) spec on an engine.Memo
@@ -63,7 +63,6 @@ type Curve struct {
 	dist   []uint64  // ascending stack distances with non-zero weight
 	weight []float64 // estimated reference count at each distance
 	cum    []float64 // cum[i] = weight[0] + … + weight[i]
-	coldW  float64   // weighted cold (first-touch) references
 	totalW float64   // weighted total references (== float64(Refs))
 }
 
@@ -72,7 +71,7 @@ func newCurve(lineSize int, refs uint64, blocks int, sampled bool, rate float64,
 	hist map[uint64]float64, cold float64) *Curve {
 	c := &Curve{
 		LineSize: lineSize, Refs: refs, Blocks: blocks,
-		Sampled: sampled, Rate: rate, coldW: cold,
+		Sampled: sampled, Rate: rate,
 	}
 	c.dist = make([]uint64, 0, len(hist))
 	for d := range hist {
@@ -98,7 +97,6 @@ func (c *Curve) rescale(f float64) {
 		c.weight[i] *= f
 		c.cum[i] *= f
 	}
-	c.coldW *= f
 	c.totalW *= f
 }
 
@@ -139,21 +137,13 @@ func (c *Curve) HitRatio(cacheSize int) float64 {
 	return c.hitWeight(cacheSize/c.LineSize) / c.totalW
 }
 
-// MissRatio returns 1 − HitRatio for a non-empty curve, else 0.
-func (c *Curve) MissRatio(cacheSize int) float64 {
-	if c.Refs == 0 {
-		return 0
-	}
-	return 1 - c.HitRatio(cacheSize)
-}
-
 // HitRatioAssoc returns the estimated hit ratio of a set-associative
 // LRU cache of cacheSize bytes with assoc ways (0 = fully
 // associative). It applies Smith's binomial set-mapping model (Smith,
 // 1978): a reference at stack distance d hits an A-way cache of S
 // sets when fewer than A of its d intervening distinct blocks map to
 // the same set, each independently with probability 1/S. The model is
-// exact for one set and approximate otherwise; DESIGN.md §5.6 states
+// exact for one set and approximate otherwise; DESIGN.md §5.5 states
 // the tolerance the tests pin.
 //
 // Edge-case contract (pinned by TestCurveEdgeCases): assoc ≥ lines
@@ -197,20 +187,6 @@ func hitProb(d uint64, assoc int, p float64) float64 {
 		sum += term
 	}
 	return math.Min(1, sum)
-}
-
-// ColdMisses returns the (weighted) count of first-touch references —
-// misses at every cache size.
-func (c *Curve) ColdMisses() float64 { return c.coldW }
-
-// MaxDistance returns the largest observed stack distance in blocks,
-// or 0 when every reference was cold. Caches larger than
-// (MaxDistance+1) lines cannot miss except compulsorily.
-func (c *Curve) MaxDistance() uint64 {
-	if len(c.dist) == 0 {
-		return 0
-	}
-	return c.dist[len(c.dist)-1]
 }
 
 // MemoryBytes estimates the curve's resident size for byte-bounded

@@ -75,21 +75,15 @@ func TestProfilerSmallTrace(t *testing.T) {
 	if c.Refs != 6 || c.Blocks != 3 {
 		t.Fatalf("Refs=%d Blocks=%d, want 6 and 3", c.Refs, c.Blocks)
 	}
-	if got := c.ColdMisses(); got != 3 {
-		t.Fatalf("ColdMisses=%g, want 3", got)
-	}
-	if got := c.MaxDistance(); got != 2 {
-		t.Fatalf("MaxDistance=%d, want 2", got)
-	}
-	// 2 lines: distance 2 misses. 3 lines: distance 2 hits.
+	// 2 lines: distance 2 misses. 3 lines: distance 2 hits, and no
+	// larger cache does better — only the 3 cold misses remain.
 	if got := c.HitRatio(2 * 64); got != 0 {
 		t.Fatalf("HitRatio(2 lines)=%g, want 0", got)
 	}
-	if got, want := c.HitRatio(3*64), 0.5; got != want {
-		t.Fatalf("HitRatio(3 lines)=%g, want %g", got, want)
-	}
-	if got, want := c.MissRatio(3*64), 0.5; got != want {
-		t.Fatalf("MissRatio(3 lines)=%g, want %g", got, want)
+	for _, lines := range []int{3, 1 << 10} {
+		if got, want := c.HitRatio(lines*64), 0.5; got != want {
+			t.Fatalf("HitRatio(%d lines)=%g, want %g", lines, got, want)
+		}
 	}
 }
 
@@ -109,9 +103,10 @@ func TestCurveMonotone(t *testing.T) {
 		}
 		prev = hr
 	}
-	// A cache bigger than every observed distance only misses cold.
-	huge := int(c.MaxDistance()+2) * 32 * 2
-	want := 1 - c.ColdMisses()/float64(c.Refs)
+	// A cache bigger than every observed distance only misses cold:
+	// once per distinct block.
+	huge := (c.Blocks + 1) * 32
+	want := 1 - float64(c.Blocks)/float64(c.Refs)
 	if got := c.HitRatio(huge); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("HitRatio(huge)=%g, want 1-cold/refs=%g", got, want)
 	}
@@ -125,9 +120,6 @@ func TestEmptyCurve(t *testing.T) {
 	c := p.Curve()
 	if got := c.HitRatio(1 << 20); got != 0 {
 		t.Fatalf("empty curve HitRatio=%g, want 0 (matching cache.Stats)", got)
-	}
-	if got := c.MissRatio(1 << 20); got != 0 {
-		t.Fatalf("empty curve MissRatio=%g, want 0", got)
 	}
 }
 
@@ -314,8 +306,8 @@ func TestCurveCacheMemoizes(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("memo returned a different curve")
 	}
-	if cc.Len() != 1 {
-		t.Fatalf("cache holds %d curves, want 1", cc.Len())
+	if cc.memo.Len() != 1 {
+		t.Fatalf("cache holds %d curves, want 1", cc.memo.Len())
 	}
 	if _, _, err := cc.Get(context.Background(), Spec{Workload: "nope", Refs: 1, LineSize: 64}); err == nil {
 		t.Fatal("invalid spec accepted")

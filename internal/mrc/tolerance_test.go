@@ -8,7 +8,7 @@ import (
 	"tradeoff/internal/trace"
 )
 
-// The epsilon policy of DESIGN.md §5.6, pinned here over every Table-3
+// The epsilon policy of DESIGN.md §5.5, pinned here over every Table-3
 // workload (the six SPEC92 programs) plus zipf:
 //
 //   - the exact curve equals the fully-associative LRU simulator

@@ -53,13 +53,6 @@ func (x *Exemplars) Add(e Exemplar) {
 	x.list = append(x.list, e)
 }
 
-// Len returns the number of retained exemplars.
-func (x *Exemplars) Len() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.list)
-}
-
 // Captured returns the total exemplars ever captured, including the
 // evicted ones.
 func (x *Exemplars) Captured() int64 {

@@ -20,7 +20,7 @@ func TestExemplarsEvictOldestFirst(t *testing.T) {
 	if got := x.Captured(); got != 10 {
 		t.Fatalf("Captured() = %d, want 10", got)
 	}
-	if got := x.Len(); got != 3 {
+	if got := len(x.Snapshot()); got != 3 {
 		t.Fatalf("Len() = %d, want budget 3", got)
 	}
 	snap := x.Snapshot()
@@ -36,7 +36,7 @@ func TestExemplarsMinimumBudget(t *testing.T) {
 	x := NewExemplars(0)
 	x.Add(Exemplar{RequestID: "a"})
 	x.Add(Exemplar{RequestID: "b"})
-	if x.Len() != 1 || x.Snapshot()[0].RequestID != "b" {
+	if len(x.Snapshot()) != 1 || x.Snapshot()[0].RequestID != "b" {
 		t.Fatalf("budget-0 store = %+v, want just the newest", x.Snapshot())
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -125,14 +124,15 @@ func (h *History) RegisterCounter(c *Counter) {
 	h.Register(c.Name(), func() float64 { return float64(c.Value()) })
 }
 
-// RegisterHistogram derives three series from hist: <name>_p50_ns,
-// <name>_p99_ns and <name>_count. The quantiles are the histogram's
-// rolling estimates at each tick; the count is cumulative, so a
-// window's rate is the count delta over the window.
-func (h *History) RegisterHistogram(hist *Histogram) {
-	h.Register(hist.Name()+"_p50_ns", func() float64 { return float64(hist.Quantile(0.5).Nanoseconds()) })
-	h.Register(hist.Name()+"_p99_ns", func() float64 { return float64(hist.Quantile(0.99).Nanoseconds()) })
-	h.Register(hist.Name()+"_count", func() float64 { return float64(hist.Count()) })
+// RegisterHistogram derives three series from hist: <prefix>_p50_ns,
+// <prefix>_p99_ns and <prefix>_count. The quantiles are the
+// histogram's rolling estimates at each tick; the count is cumulative,
+// so a window's rate is the count delta over the window. This is the
+// one place a histogram's history series are named.
+func (h *History) RegisterHistogram(prefix string, hist *Histogram) {
+	h.Register(prefix+"_p50_ns", func() float64 { return float64(hist.Quantile(0.5).Nanoseconds()) })
+	h.Register(prefix+"_p99_ns", func() float64 { return float64(hist.Quantile(0.99).Nanoseconds()) })
+	h.Register(prefix+"_count", func() float64 { return float64(hist.Count()) })
 }
 
 // Names returns the registered series names in registration order.
@@ -142,13 +142,6 @@ func (h *History) Names() []string {
 	out := make([]string, len(h.order))
 	copy(out, h.order)
 	return out
-}
-
-// Ticks returns how many snapshot cycles have run.
-func (h *History) Ticks() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ticks
 }
 
 // Last returns the time of the newest tick, and false before the
@@ -192,21 +185,6 @@ func (h *History) Tick(now time.Time) TickSnapshot {
 	}
 	h.mu.Unlock()
 	return snap
-}
-
-// Run ticks every interval until ctx is cancelled — the scheduler
-// goroutine tradeoffd starts at boot.
-func (h *History) Run(ctx context.Context) {
-	t := time.NewTicker(h.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			h.Tick(now)
-		}
-	}
 }
 
 // Subscribe registers a snapshot listener with the given channel

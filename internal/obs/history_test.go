@@ -200,7 +200,7 @@ func TestHistoryRegisterHistogramAndCounter(t *testing.T) {
 	hist.Observe(100 * time.Millisecond)
 	c := NewCounter("reg_test_total")
 	c.Add(7)
-	h.RegisterHistogram(hist)
+	h.RegisterHistogram(hist.Name(), hist)
 	h.RegisterCounter(c)
 	snap := h.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	if snap.Values["reg_test_duration_count"] != 1 {
@@ -237,7 +237,7 @@ func BenchmarkSnapshotTick(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		hist := NewHistogram(fmt.Sprintf("bench_hist_%d", i))
 		hist.Observe(time.Millisecond)
-		h.RegisterHistogram(hist)
+		h.RegisterHistogram(hist.Name(), hist)
 	}
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	b.ReportAllocs()

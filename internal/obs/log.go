@@ -56,50 +56,28 @@ func ParseLevel(s string) (Level, error) {
 //
 // Lines below the logger's level are dropped before formatting. A nil
 // *Logger is valid and logs nothing, so call sites never need a nil
-// check. With derives child loggers carrying bound fields (a request
-// ID, a subsystem name) that prefix every line.
+// check. Key/value pairs alternate key, value; a trailing odd key gets
+// the value "(missing)".
 type Logger struct {
-	mu    *sync.Mutex // shared across With-derived children
+	mu    sync.Mutex
 	w     io.Writer
 	level Level
-	bound string           // pre-rendered " k=v k=v" suffix
 	now   func() time.Time // test hook; defaults to time.Now
 }
 
 // NewLogger returns a Logger writing lines at or above level to w.
 func NewLogger(w io.Writer, level Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, now: time.Now}
-}
-
-// With returns a child logger whose lines carry the given key/value
-// pairs after the message. Pairs are alternating key, value; a
-// trailing odd key gets the value "(missing)".
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	var b strings.Builder
-	b.WriteString(l.bound)
-	appendPairs(&b, kv)
-	child.bound = b.String()
-	return &child
+	return &Logger{w: w, level: level, now: time.Now}
 }
 
 // Enabled reports whether lines at level would be written.
 func (l *Logger) Enabled(level Level) bool { return l != nil && level >= l.level }
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
 
 // Info logs at LevelInfo.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
 
 // Warn logs at LevelWarn.
 func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 
 func (l *Logger) log(level Level, msg string, kv []any) {
 	if !l.Enabled(level) {
@@ -112,7 +90,6 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	b.WriteString(level.String())
 	b.WriteString(" msg=")
 	b.WriteString(quoteValue(msg))
-	b.WriteString(l.bound)
 	appendPairs(&b, kv)
 	b.WriteByte('\n')
 	l.mu.Lock()

@@ -100,6 +100,8 @@ func (t *Tracer) records() []SpanRecord {
 }
 
 // Len returns the number of retained records.
+//
+//lint:ignore unusedexport e2ebench: the benchmark counts recorded spans with it
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -166,6 +166,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // Unwrap exposes the underlying writer to http.ResponseController,
 // restoring every optional interface (Flusher, Hijacker, deadlines,
 // io.ReaderFrom sendfile paths) the wrapper would otherwise swallow.
+//
+//lint:ignore unusedexport interface: http.ResponseController finds the underlying writer through an unexported Unwrap interface
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // Flush implements http.Flusher by forwarding through

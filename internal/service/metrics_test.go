@@ -103,7 +103,11 @@ func goldenMetricsServer() *Server {
 	s.stats.MemoHit.Add(7)
 	s.stats.MemoMiss.Add(2)
 	s.stats.MemoShared.Add(1)
-	s.cache.Put("k", cachedResponse{contentType: "t", body: []byte("0123456789")})
+	if _, _, err := s.cache.Do(context.Background(), "k", func(context.Context) (cachedResponse, error) {
+		return cachedResponse{contentType: "t", body: []byte("0123456789")}, nil
+	}); err != nil {
+		panic(err)
+	}
 	s.metrics.recordXVal("nasa7", xvalSample{LineSize: 32, MaxAbs: 0.0625, MeanAbs: 0.03125, Budget: 0.1, Within: true})
 	s.metrics.recordXVal("zipf", xvalSample{LineSize: 64, MaxAbs: 0.015625, MeanAbs: 0.0078125, Budget: 0.04, Within: true})
 	return s

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"tradeoff/internal/mrc"
 )
 
 // mrcSweepBody is a small MRC-backed sweep request; sim_refs stays low
@@ -41,12 +44,22 @@ func TestSweepMRCSource(t *testing.T) {
 			t.Fatalf("design %+v hit ratio outside (0, 1)", d)
 		}
 	}
-	if got := s.curves.Len(); got != 2 {
-		t.Fatalf("curve cache holds %d curves, want 2 (one per line size)", got)
-	}
+	curvesHeld(t, s, "ear", 10000, 32, 64)
 	resp2, _ := post(t, ts.URL+"/v1/sweep", mrcSweepBody)
 	if resp2.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("second request X-Cache = %q, want hit", resp2.Header.Get("X-Cache"))
+	}
+}
+
+// curvesHeld asserts the server's curve cache already holds the exact
+// curve of workload (default seed, refs references) at each line size.
+func curvesHeld(t *testing.T, s *Server, workload string, refs int, lines ...int) {
+	t.Helper()
+	for _, line := range lines {
+		spec := mrc.Spec{Workload: workload, Seed: 1994, Refs: refs, LineSize: line}
+		if _, shared, err := s.curves.Get(context.Background(), spec); err != nil || !shared {
+			t.Fatalf("%s %d B curve: shared=%v err=%v, want it held by the curve cache", workload, line, shared, err)
+		}
 	}
 }
 

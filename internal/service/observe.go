@@ -107,17 +107,15 @@ func (s *Server) registerSeries() {
 		return max
 	})
 
-	h.RegisterHistogram(s.stats.Eval)
-	h.RegisterHistogram(s.stats.QueueWait)
+	h.RegisterHistogram(s.stats.Eval.Name(), s.stats.Eval)
+	h.RegisterHistogram(s.stats.QueueWait.Name(), s.stats.QueueWait)
 	h.RegisterCounter(s.stats.MemoHit)
 	h.RegisterCounter(s.stats.MemoMiss)
 	h.RegisterCounter(s.stats.MemoShared)
 
 	for _, ep := range s.metrics.endpoints {
 		prefix := endpointSeries(ep.route)
-		h.Register(prefix+"_p50_ns", func() float64 { return float64(ep.duration.Quantile(0.5).Nanoseconds()) })
-		h.Register(prefix+"_p99_ns", func() float64 { return float64(ep.duration.Quantile(0.99).Nanoseconds()) })
-		h.Register(prefix+"_count", func() float64 { return float64(ep.duration.Count()) })
+		h.RegisterHistogram(prefix, ep.duration)
 		h.Register(prefix+"_requests", func() float64 { return float64(ep.requests.Load()) })
 		h.Register(prefix+"_errors", func() float64 { return float64(ep.errors.Load()) })
 	}

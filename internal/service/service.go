@@ -338,9 +338,6 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 	}
 }
 
-// CacheHits returns the memoization hit count (for tests and ops).
-func (s *Server) CacheHits() int64 { return s.metrics.cacheHits.Load() }
-
 // TradeoffRequest is the POST /v1/tradeoff payload. Omitted fields
 // take the same defaults as the tradeoff CLI flags.
 type TradeoffRequest struct {

@@ -293,28 +293,35 @@ func TestModeModelEndToEnd(t *testing.T) {
 // TestModelCacheSharedAcrossEndpoints: /v1/sweep's analytic tier and
 // /v1/stall's analytic stall estimator read one model cache, so a
 // mode=model sweep and a mode=model stall grid over the same
-// (workload, seed, refs, line size) build one curve between them.
+// (workload, seed, refs, line size) build one curve between them: the
+// sweep leaves it in the runner's cache, where the stall grid finds it.
 func TestModelCacheSharedAcrossEndpoints(t *testing.T) {
 	s, ts := newTestServer(t)
+	spec := model.Spec{Workload: "nasa7", Seed: 7, Refs: 20000, LineSize: 32}
+	held := func(after string) {
+		t.Helper()
+		if _, shared, err := s.runner.Models().Get(context.Background(), spec); err != nil || !shared {
+			t.Fatalf("after %s: shared=%v err=%v, want the curve held by the runner's model cache", after, shared, err)
+		}
+	}
 	resp, body := post(t, ts.URL+"/v1/sweep", `{"cache_kb":[8,16],"line_bytes":[32],"bus_bits":[32],
 		"latency_ns":360,"transfer_ns":60,"cpu_ns":30,
 		"hit_source":"sim:nasa7","mode":"model","sim_refs":20000,"seed":7}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
 	}
+	held("the sweep")
 	resp, body = post(t, ts.URL+"/v1/stall", `{"programs":["nasa7"],"refs":20000,"seed":7,
 		"line_bytes":[32],"beta_m":[4,10],"mode":"model"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stall status %d: %s", resp.StatusCode, body)
 	}
-	if n := s.runner.Models().Len(); n != 1 {
-		t.Fatalf("model cache holds %d curves, want 1 shared by both endpoints", n)
-	}
+	held("the stall grid")
 }
 
 func TestSweepMemoized(t *testing.T) {
 	s, ts := newTestServer(t)
-	before := s.CacheHits()
+	before := s.metrics.cacheHits.Load()
 	resp, _ := post(t, ts.URL+"/v1/sweep", sweep.ExampleConfig)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -333,8 +340,8 @@ func TestSweepMemoized(t *testing.T) {
 	if resp2.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("second request X-Cache = %q, want hit", resp2.Header.Get("X-Cache"))
 	}
-	if s.CacheHits() != before+1 {
-		t.Fatalf("cache hits %d, want %d", s.CacheHits(), before+1)
+	if s.metrics.cacheHits.Load() != before+1 {
+		t.Fatalf("cache hits %d, want %d", s.metrics.cacheHits.Load(), before+1)
 	}
 	// The metrics endpoint reports the same counter.
 	var m struct {
@@ -347,8 +354,8 @@ func TestSweepMemoized(t *testing.T) {
 	if err := json.Unmarshal(bodyM, &m); err != nil {
 		t.Fatalf("metrics not JSON: %v\n%s", err, bodyM)
 	}
-	if m.CacheHits != s.CacheHits() {
-		t.Fatalf("metrics cache_hits = %d, want %d", m.CacheHits, s.CacheHits())
+	if m.CacheHits != s.metrics.cacheHits.Load() {
+		t.Fatalf("metrics cache_hits = %d, want %d", m.CacheHits, s.metrics.cacheHits.Load())
 	}
 }
 
@@ -520,7 +527,7 @@ func TestSweepSingleflight(t *testing.T) {
 	if got := s.metrics.endpoint("/v1/sweep").evaluations.Load(); got != 1 {
 		t.Fatalf("%d concurrent identical sweeps ran %d evaluations, want exactly 1", n, got)
 	}
-	if hits := s.CacheHits(); hits != n-1 {
+	if hits := s.metrics.cacheHits.Load(); hits != n-1 {
 		t.Fatalf("cache hits = %d, want %d (every follower shares the one evaluation)", hits, n-1)
 	}
 }
@@ -598,7 +605,7 @@ func TestStallMemoized(t *testing.T) {
 	if resp.Header.Get("X-Cache") != "miss" {
 		t.Fatalf("first request X-Cache = %q, want miss", resp.Header.Get("X-Cache"))
 	}
-	before := s.CacheHits()
+	before := s.metrics.cacheHits.Load()
 	// Same grid, different field order, whitespace and spelled-out
 	// defaults: must hit.
 	reordered := `{"beta_m":[4,10],"features":["FS","BNL3"],
@@ -610,8 +617,8 @@ func TestStallMemoized(t *testing.T) {
 	if resp2.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("second request X-Cache = %q, want hit", resp2.Header.Get("X-Cache"))
 	}
-	if s.CacheHits() != before+1 {
-		t.Fatalf("cache hits %d, want %d", s.CacheHits(), before+1)
+	if s.metrics.cacheHits.Load() != before+1 {
+		t.Fatalf("cache hits %d, want %d", s.metrics.cacheHits.Load(), before+1)
 	}
 }
 
@@ -687,13 +694,13 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// A repeated (whitespace-shuffled) request hits the response memo.
-	hits := s.CacheHits()
+	hits := s.metrics.cacheHits.Load()
 	resp, _ = post(t, ts.URL+"/v1/optimize", strings.ReplaceAll(cfg, "\n\t\t", " "))
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("repeat not served from cache: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
-	if s.CacheHits() != hits+1 {
-		t.Fatalf("cache hits %d, want %d", s.CacheHits(), hits+1)
+	if s.metrics.cacheHits.Load() != hits+1 {
+		t.Fatalf("cache hits %d, want %d", s.metrics.cacheHits.Load(), hits+1)
 	}
 
 	// CSV carries the optimize header.

@@ -49,18 +49,6 @@ type Grid struct {
 	Mode string `json:"mode"`
 }
 
-// ExampleGrid is the example payload `tradeoffd` documents for
-// POST /v1/stall, also exercised by the golden tests.
-const ExampleGrid = `{
-  "programs":   ["nasa7", "ear"],
-  "refs":       20000,
-  "features":   ["FS", "BL", "BNL1", "BNL2", "BNL3", "NB"],
-  "cache_kb":   [8],
-  "line_bytes": [32],
-  "bus_bytes":  [4],
-  "beta_m":     [4, 10]
-}`
-
 // SetDefaults fills zero-valued optional fields with their defaults.
 func (g *Grid) SetDefaults() {
 	if len(g.Programs) == 0 {

@@ -126,6 +126,8 @@ func (r *Runner) measure(ctx context.Context, job Job, opts Options) (stall.Resu
 // returns its stats, reading the trace from the runner's trace cache.
 // It is a sweep.MeasureFunc, for callers that wire a runner into
 // sweep.Caches.Measure.
+//
+//lint:ignore unusedexport e2ebench: the benchmark passes it as sweep.Caches.Measure
 func (r *Runner) MeasureHierarchy(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
 	return sweep.MeasureHierarchy(ctx, r.traces, workload, seed, refs, levels)
 }

@@ -219,9 +219,6 @@ func TestParseGridRejectsBadInput(t *testing.T) {
 			t.Fatalf("ParseGrid(%s) accepted bad input", in)
 		}
 	}
-	if _, err := ParseGrid([]byte(ExampleGrid)); err != nil {
-		t.Fatalf("ParseGrid(ExampleGrid): %v", err)
-	}
 }
 
 // TestCheckLimits exercises the service's abuse bounds.

@@ -17,7 +17,10 @@ import (
 // The branch is driven directly (white box) because it needs a fill
 // scheduled on a still-busy bus.
 func TestBusWaitNotDoubleCounted(t *testing.T) {
-	mem := memory.MustNew(memory.Config{BetaM: 10, BusWidth: 4})
+	mem, err := memory.New(memory.Config{BetaM: 10, BusWidth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := engine{
 		cfg: Config{
 			Cache:   cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2},

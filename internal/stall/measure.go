@@ -1,22 +1,11 @@
 package stall
 
-import (
-	"fmt"
-
-	"tradeoff/internal/trace"
-)
-
-// RunSource replays up to n references drawn from src. See Run.
-func RunSource(cfg Config, src trace.Source, n int) (Result, error) {
-	return Run(cfg, trace.Collect(src, n))
-}
-
 // AverageResults aggregates per-program results — given in the same
 // order as names — the way the paper's Figure 1 averages six SPEC92
 // programs: event counters sum, while Phi and PhiFraction average
-// unweighted, accumulated in names order so callers that parallelize
-// the measurements (internal/simjob consumers) reproduce the serial
-// float arithmetic exactly.
+// unweighted, accumulated in names order so the float arithmetic does
+// not depend on the order in which parallel measurements (the
+// internal/simjob pool) finish.
 func AverageResults(names []string, results []Result) (perProgram map[string]Result, avg Result) {
 	perProgram = make(map[string]Result, len(names))
 	var sumPhi, sumFrac float64
@@ -43,31 +32,4 @@ func AverageResults(names []string, results []Result) (perProgram map[string]Res
 		avg.PhiFraction = sumFrac / float64(len(names))
 	}
 	return perProgram, avg
-}
-
-// AverageOverPrograms measures the stalling factor for each named
-// program model (refsPer references each, seeded with seed) and returns
-// the per-program results plus their unweighted average — see
-// AverageResults for the aggregation contract.
-func AverageOverPrograms(cfg Config, names []string, refsPer int, seed uint64) (perProgram map[string]Result, avg Result, err error) {
-	if unknown := trace.ValidNames(names); len(unknown) > 0 {
-		return nil, Result{}, fmt.Errorf("stall: unknown programs %v", unknown)
-	}
-	if len(names) == 0 {
-		return nil, Result{}, fmt.Errorf("stall: no programs given")
-	}
-	results := make([]Result, len(names))
-	for i, name := range names {
-		src, err := trace.NewProgram(name, seed)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		res, err := RunSource(cfg, src, refsPer)
-		if err != nil {
-			return nil, Result{}, fmt.Errorf("stall: program %s: %w", name, err)
-		}
-		results[i] = res
-	}
-	perProgram, avg = AverageResults(names, results)
-	return perProgram, avg, nil
 }

@@ -419,29 +419,37 @@ func TestPhiGrowsWithMemoryCycle(t *testing.T) {
 	}
 }
 
+// TestAverageOverPrograms pins AverageResults' aggregation contract
+// on the six program models: one entry per name, event counters sum,
+// and φ averages unweighted.
 func TestAverageOverPrograms(t *testing.T) {
-	per, avg, err := AverageOverPrograms(fig1Config(BNL3, 10), trace.Programs(), 20000, 1)
-	if err != nil {
-		t.Fatal(err)
+	names := trace.Programs()
+	results := make([]Result, len(names))
+	var sumPhi float64
+	var sumMisses uint64
+	for i, name := range names {
+		res, err := Run(fig1Config(BNL3, 10), trace.Collect(trace.MustProgram(name, 1), 20000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+		sumPhi += res.Phi
+		sumMisses += res.Misses
 	}
+	per, avg := AverageResults(names, results)
 	if len(per) != 6 {
 		t.Fatalf("%d programs measured, want 6", len(per))
 	}
-	var sum float64
-	for _, r := range per {
-		sum += r.Phi
+	for i, name := range names {
+		if per[name] != results[i] {
+			t.Fatalf("%s: per-program result %+v, want %+v", name, per[name], results[i])
+		}
 	}
-	if want := sum / 6; math.Abs(avg.Phi-want) > 1e-9 {
+	if want := sumPhi / 6; math.Abs(avg.Phi-want) > 1e-9 {
 		t.Fatalf("avg φ %.4f, want %.4f", avg.Phi, want)
 	}
-}
-
-func TestAverageOverProgramsErrors(t *testing.T) {
-	if _, _, err := AverageOverPrograms(fig1Config(FS, 4), []string{"bogus"}, 10, 1); err == nil {
-		t.Fatal("unknown program accepted")
-	}
-	if _, _, err := AverageOverPrograms(fig1Config(FS, 4), nil, 10, 1); err == nil {
-		t.Fatal("empty program list accepted")
+	if avg.Misses != sumMisses {
+		t.Fatalf("avg misses %d, want the sum %d", avg.Misses, sumMisses)
 	}
 }
 

@@ -55,42 +55,3 @@ func Summarize(xs []float64) (Summary, error) {
 	}
 	return s, nil
 }
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values — the usual
-// aggregate for speedups. It returns an error if any value is not
-// positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: empty sample")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: non-positive value %g in geometric mean", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// RelSpread returns (max−min)/mean as a quick dispersion measure, or 0
-// for degenerate samples.
-func RelSpread(xs []float64) float64 {
-	s, err := Summarize(xs)
-	if err != nil || s.Mean == 0 {
-		return 0
-	}
-	return (s.Max - s.Min) / s.Mean
-}

@@ -64,43 +64,6 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean not 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("mean wrong")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-4) > 1e-12 {
-		t.Fatalf("geomean %g, want 4", g)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("zero accepted")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-}
-
-func TestRelSpread(t *testing.T) {
-	if got := RelSpread([]float64{8, 10, 12}); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("relspread %g, want 0.4", got)
-	}
-	if RelSpread(nil) != 0 {
-		t.Fatal("empty relspread not 0")
-	}
-	if RelSpread([]float64{0, 0}) != 0 {
-		t.Fatal("zero-mean relspread not 0")
-	}
-}
-
 func TestSummaryBoundsQuick(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))

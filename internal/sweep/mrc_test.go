@@ -120,24 +120,24 @@ func TestMRCSampledSweepRuns(t *testing.T) {
 // the caller owns the cache: the second sweep performs zero passes.
 func TestRunCachesSharesCurves(t *testing.T) {
 	curves := mrc.NewCurveCache(0, 0)
-	if _, err := RunCaches(context.Background(), mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
-		t.Fatal(err)
+	// passes runs the sweep on curves and counts its mrc_pass spans.
+	passes := func() int {
+		tracer := obs.NewTracer()
+		ctx := obs.WithTracer(context.Background(), tracer)
+		if _, err := RunCaches(ctx, mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tracer.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(buf.Bytes(), []byte(`"mrc_pass"`))
 	}
-	n := curves.Len()
-	if n != 4 {
-		t.Fatalf("first sweep cached %d curves, want 4 (one per line size)", n)
+	if n := passes(); n != 4 {
+		t.Fatalf("first sweep ran %d passes, want 4 (one per line size)", n)
 	}
-	tracer := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), tracer)
-	if _, err := RunCaches(ctx, mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tracer.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte("mrc_pass")) {
-		t.Fatal("second sweep over a shared curve cache re-profiled a trace")
+	if n := passes(); n != 0 {
+		t.Fatalf("second sweep over a shared curve cache re-profiled %d traces", n)
 	}
 }
 

@@ -296,11 +296,16 @@ func (s *hitSurface) MissRatio(size, line int) float64 {
 }
 
 // powerProxy computes the per-reference access-energy proxy of a
-// design: each level's sqrt(rbe) access energy (area.AccessEnergy)
-// weighted by the rate at which demand probes reach it — every
-// reference probes L1, only the compounded miss stream probes deeper.
-// Off-chip energy is out of scope; the budget constrains the on-chip
-// hierarchy.
+// design: each level's access energy weighted by the rate at which
+// demand probes reach it — every reference probes L1, only the
+// compounded miss stream probes deeper. A level's access energy is the
+// square root of its rbe area: wordline/bitline capacitance grows with
+// the array's linear dimension, so energy per access scales roughly
+// with sqrt(area). That is coarse, but like the rbe model itself it is
+// the ratios between configurations that drive the tradeoff; "Cache
+// Hierarchy Optimization" (Yavits et al.) prices hierarchy power the
+// same relative way. Off-chip energy is out of scope; the budget
+// constrains the on-chip hierarchy.
 func powerProxy(d Design) float64 {
 	l1 := d.AreaRBE
 	for _, l := range d.Levels {

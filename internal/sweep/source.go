@@ -82,6 +82,8 @@ func (s Source) ErrorBound() float64 {
 // SourceWorkload splits a valid workload-bearing hit source into its
 // prefix and workload name. It is a view over ParseSource, kept for
 // e2ebench.
+//
+//lint:ignore unusedexport e2ebench: the benchmark splits hit sources with it
 func SourceWorkload(hitSource string) (prefix, workload string, ok bool) {
 	s, err := ParseSource(hitSource)
 	if err != nil || s.Tier == TierModel {
@@ -92,6 +94,8 @@ func SourceWorkload(hitSource string) (prefix, workload string, ok bool) {
 
 // EffectiveHitSource spells ParseSource(HitSource).Resolve(Mode), the
 // source the engine prices. It is kept for e2ebench.
+//
+//lint:ignore unusedexport e2ebench: the benchmark resolves hit sources with it
 func (c Config) EffectiveHitSource() (string, error) {
 	s, err := ParseSource(c.HitSource)
 	return s.Resolve(c.Mode).String(), err

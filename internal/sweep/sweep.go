@@ -433,7 +433,7 @@ func hitFunc(cfg Config, caches Caches, src Source) hitRatioFunc {
 			spec.LineSize = line
 			return models.Get(ctx, spec)
 		}
-	default: // TierMRC, TierMRCSampled
+	case TierMRC, TierMRCSampled:
 		curves := caches.Curves
 		if curves == nil {
 			curves = mrc.NewCurveCacheOn(caches.Traces, 0, 0)

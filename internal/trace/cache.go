@@ -105,16 +105,14 @@ func materialize(ctx context.Context, n Named) ([]Ref, error) {
 // Generated returns how many traces this cache has materialized — the
 // hook the trace-count tests and the benchmark read. A nil cache
 // reports 0.
+//
+//lint:ignore unusedexport e2ebench: the benchmark reports trace.materialized from it
 func (c *Cache) Generated() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.generated.Load()
 }
-
-// Bytes returns the resident size of the cached traces; it never
-// exceeds CacheBytes.
-func (c *Cache) Bytes() int64 { return c.memo.Bytes() }
 
 // holdKey is the context key of a run's hold.
 type holdKey struct{}

@@ -45,13 +45,13 @@ func TestCacheMemoizes(t *testing.T) {
 	if g := c.Generated(); g != 1 {
 		t.Fatalf("generated = %d, want 1", g)
 	}
-	if got, want := c.Bytes(), 1000*refBytes; got != want {
+	if got, want := c.memo.Bytes(), 1000*refBytes; got != want {
 		t.Fatalf("bytes = %d, want %d", got, want)
 	}
 	if _, err := c.Get(ctx, Named{Program: "nope", Refs: 1}); err == nil {
 		t.Fatal("unknown workload served")
 	}
-	if got, want := c.Bytes(), 1000*refBytes; got != want {
+	if got, want := c.memo.Bytes(), 1000*refBytes; got != want {
 		t.Fatalf("bytes = %d after a failed materialization, want %d", got, want)
 	}
 }
@@ -89,7 +89,7 @@ func TestHoldSharesOverBudgetTrace(t *testing.T) {
 	if g := c.Generated(); g != 1 {
 		t.Fatalf("generated = %d under one hold, want 1", g)
 	}
-	if c.Bytes() != 0 {
+	if c.memo.Bytes() != 0 {
 		t.Fatal("an over-budget trace was cached")
 	}
 	// A nested hold is the same hold; a new run fetches afresh.

@@ -2,7 +2,7 @@ package trace
 
 // This file provides the primitive access-pattern generators from which
 // the SPEC92-like program models in programs.go are composed. Each
-// generator is an infinite Source; wrap with Limit to bound it.
+// generator is an infinite Source; take n references with Collect.
 
 // gapper advances a shared instruction counter with pseudo-random gaps,
 // modeling the non-memory instructions between load/stores.

@@ -55,7 +55,7 @@ func TestIFetchDeterministic(t *testing.T) {
 }
 
 func TestInterleaveOrdering(t *testing.T) {
-	data := Limit(Sequential(SequentialConfig{Seed: 1, Base: 0x1000, GapMean: 3}), 100)
+	data := finite(Sequential(SequentialConfig{Seed: 1, Base: 0x1000, GapMean: 3}), 100)
 	fetch := IFetch(IFetchConfig{Seed: 2, Base: 0x8000_0000})
 	refs := Collect(Interleave(data, fetch), 10000)
 	if len(refs) == 0 {
@@ -82,7 +82,7 @@ func TestInterleaveOrdering(t *testing.T) {
 }
 
 func TestInterleaveEndsWithData(t *testing.T) {
-	data := Limit(Sequential(SequentialConfig{Seed: 1, Base: 0x1000}), 5)
+	data := finite(Sequential(SequentialConfig{Seed: 1, Base: 0x1000}), 5)
 	fetch := IFetch(IFetchConfig{Seed: 2, Base: 0x8000_0000})
 	src := Interleave(data, fetch)
 	n := 0

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Program names for the six SPEC92 workload models used by the paper's
 // Figure 1 (average stalling factors). See DESIGN.md §4 for why these
@@ -25,8 +22,8 @@ func Programs() []string {
 
 // NewProgram returns the synthetic workload model for one of the six
 // SPEC92 program names, seeded deterministically from seed. It returns
-// an error for unknown names. The resulting Source is infinite; bound it
-// with Limit. The blend recipes live in SpecFor (spec.go), which both
+// an error for unknown names. The resulting Source is infinite; take n
+// references with Collect. The blend recipes live in SpecFor (spec.go), which both
 // this constructor and the analytic model tier read.
 func NewProgram(name string, seed uint64) (Source, error) {
 	if name == Zipf {
@@ -47,20 +44,4 @@ func MustProgram(name string, seed uint64) Source {
 		panic(err)
 	}
 	return src
-}
-
-// ValidNames reports whether every name in names is a known program,
-// returning the sorted list of unknown names otherwise.
-func ValidNames(names []string) (unknown []string) {
-	known := make(map[string]bool, 6)
-	for _, p := range Programs() {
-		known[p] = true
-	}
-	for _, n := range names {
-		if !known[n] {
-			unknown = append(unknown, n)
-		}
-	}
-	sort.Strings(unknown)
-	return unknown
 }

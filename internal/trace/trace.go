@@ -105,44 +105,3 @@ func Summarize(refs []Ref) Stats {
 	s.SameLineFrac = float64(same) / float64(max(1, s.Refs-1))
 	return s
 }
-
-// Limit wraps a Source and ends the stream after n references.
-func Limit(src Source, n int) Source { return &limited{src: src, left: n} }
-
-type limited struct {
-	src  Source
-	left int
-}
-
-func (l *limited) Next() (Ref, bool) {
-	if l.left <= 0 {
-		return Ref{}, false
-	}
-	l.left--
-	return l.src.Next()
-}
-
-// Concat returns a Source that yields all references of each source in
-// turn, rebasing instruction indices so they remain non-decreasing
-// across the boundary.
-func Concat(srcs ...Source) Source { return &concat{srcs: srcs} }
-
-type concat struct {
-	srcs []Source
-	base uint64 // instruction-index offset applied to the current source
-	last uint64 // last emitted instruction index
-}
-
-func (c *concat) Next() (Ref, bool) {
-	for len(c.srcs) > 0 {
-		r, ok := c.srcs[0].Next()
-		if ok {
-			r.Instr += c.base
-			c.last = r.Instr
-			return r, true
-		}
-		c.srcs = c.srcs[1:]
-		c.base = c.last + 1
-	}
-	return Ref{}, false
-}

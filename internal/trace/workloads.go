@@ -16,7 +16,7 @@ func Workloads() []string {
 // deterministically from seed. "zipf" selects the Zipf-popularity
 // generator with the parameters the sweep engine has always used for
 // its sim:zipf hit source; any other name resolves via NewProgram.
-// The resulting Source is infinite; bound it with Limit.
+// The resulting Source is infinite; take n references with Collect.
 func NewWorkload(name string, seed uint64) (Source, error) {
 	spec, err := SpecFor(name, seed)
 	if err != nil {

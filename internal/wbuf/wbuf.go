@@ -12,8 +12,9 @@
 //     wait for that entry to drain, or it would fetch stale memory).
 //
 // With an appropriate memory cycle time the paper treats the buffers as
-// hiding flush latency completely; this model quantifies how close a
-// finite-depth buffer gets to that ideal.
+// hiding flush latency completely; the stall cycles Post and
+// ConflictWait return measure how far a finite-depth buffer falls
+// short of that ideal.
 //
 // Time is the caller's cycle counter. The buffer does not own a clock;
 // every method takes `now` (the current cycle) and `busBusyUntil` (the
@@ -26,12 +27,6 @@ package wbuf
 type Buffer struct {
 	depth   int
 	entries []entry
-
-	// Counters for effectiveness reporting.
-	posted      uint64
-	postedTime  int64
-	fullStalls  int64
-	conflictOps uint64
 }
 
 type entry struct {
@@ -50,11 +45,8 @@ func New(depth int) *Buffer {
 	return &Buffer{depth: depth}
 }
 
-// Depth returns the buffer capacity.
-func (b *Buffer) Depth() int { return b.depth }
-
-// Len returns the number of entries still queued or in flight at now.
-func (b *Buffer) Len(now, busBusyUntil int64) int {
+// queued returns the number of entries still queued or in flight at now.
+func (b *Buffer) queued(now, busBusyUntil int64) int {
 	b.compact(now, busBusyUntil)
 	return len(b.entries)
 }
@@ -96,12 +88,9 @@ func (b *Buffer) Post(now, busBusyUntil int64, line uint64, dur int64) (stall in
 			now = head.drainAt
 		}
 		b.compact(now, busBusyUntil)
-		b.fullStalls += stall
 	}
 	b.entries = append(b.entries, entry{line: line, postAt: now, dur: dur})
 	b.schedule(busBusyUntil)
-	b.posted++
-	b.postedTime += dur
 	return stall
 }
 
@@ -121,35 +110,7 @@ func (b *Buffer) ConflictWait(now, busBusyUntil int64, line uint64) (stall int64
 	}
 	stall = t - now
 	if stall > 0 {
-		b.conflictOps++
 		b.compact(t, busBusyUntil)
 	}
 	return stall
-}
-
-// Stats reports the buffer's cumulative effectiveness.
-type Stats struct {
-	Posted     uint64 // writes accepted
-	PostedTime int64  // total bus cycles of accepted writes
-	FullStalls int64  // CPU cycles exposed by buffer-full waits
-	Conflicts  uint64 // read misses that hit a queued write
-}
-
-// Stats returns the accumulated counters.
-func (b *Buffer) Stats() Stats {
-	return Stats{Posted: b.posted, PostedTime: b.postedTime, FullStalls: b.fullStalls, Conflicts: b.conflictOps}
-}
-
-// HiddenFraction returns the fraction of posted write time that was not
-// exposed through full-buffer stalls: 1 means the paper's ideal
-// "completely hidden" flushes. Returns 1 for an unused buffer.
-func (b *Buffer) HiddenFraction() float64 {
-	if b.postedTime == 0 {
-		return 1
-	}
-	f := 1 - float64(b.fullStalls)/float64(b.postedTime)
-	if f < 0 {
-		return 0
-	}
-	return f
 }

@@ -191,7 +191,7 @@ func MeasureWorkload(w Workload, seed uint64, n int, cs CacheSpec) (Profile, err
 	if err != nil {
 		return Profile{}, err
 	}
-	return cache.MeasureSource(c, src, n), nil
+	return cache.Measure(c, trace.Collect(src, n)), nil
 }
 
 // PhiResult is a measured stalling factor.
@@ -209,11 +209,11 @@ func SimulatePhi(w Workload, seed uint64, n int, cs CacheSpec, feature StallFeat
 	if err != nil {
 		return PhiResult{}, err
 	}
-	res, err := stall.RunSource(stall.Config{
+	res, err := stall.Run(stall.Config{
 		Cache:   cs.config(),
 		Memory:  memory.Config{BetaM: betaM, BusWidth: busWidth},
 		Feature: feature,
-	}, src, n)
+	}, trace.Collect(src, n))
 	if err != nil {
 		return PhiResult{}, err
 	}
